@@ -16,7 +16,7 @@ from .bounds import (
     slj_bound,
     two_stage_bound,
 )
-from .coverage import count_new_coverage, uncovered_list, verify_covering_array
+from .coverage import uncovered_list, verify_covering_array
 from .groups import FiniteField, GroupKind, canonicalize, develop, orbit_count
 from .model import (
     FLEXIBLE,

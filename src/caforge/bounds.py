@@ -24,16 +24,11 @@ def _log_ratio(num: int, den: int):
 
 
 def _orbit_log_base(p: Parameters, group: GroupKind):
-    """-ln(per-row miss probability of one full orbit) under the group."""
-    if group is GroupKind.TRIVIAL:
-        q = p.v**p.t
-        return _log_ratio(q, q - 1)
-    q = p.v ** (p.t - 1)
-    if group is GroupKind.CYCLIC:
-        return _log_ratio(q, q - 1)
-    if prime_power(p.v) is None:
-        raise ValueError(f"Frobenius group requires a prime-power v, got {p.v}")
-    return _log_ratio(q, q - p.v + 1)
+    """-ln(per-row miss probability of one full orbit) under the group: a
+    random row hits a full orbit in |G| of the v^t tuples."""
+    order, _, _ = group.shape(p.t, p.v)
+    vt = p.v**p.t
+    return _log_ratio(vt, vt - order)
 
 
 def slj_bound(p: Parameters) -> float:
@@ -58,12 +53,15 @@ def discrete_slj_bound(p: Parameters) -> int:
     return n
 
 
-def two_stage_bound(p: Parameters) -> float:
-    """Optimal random-first-stage + one-row-per-leftover bound."""
-    vt = p.v**p.t
-    L = _log_ratio(vt, vt - 1)
-    num = mp.log(binomial(p.k, p.t)) + p.t * mp.log(p.v) + mp.log(L) + 1
-    return float(num / L)
+def two_stage_bound(p: Parameters, group: GroupKind = GroupKind.TRIVIAL) -> float:
+    """Optimal random-first-stage + one-row-per-leftover bound, for an array
+    developed over ``group``: |G| (ln C(k,t) + ln F + ln L + 1) / L plus the
+    constant rows, where F is the full orbits per column t-set and L the
+    per-row miss base of one full orbit."""
+    order, full, constant_rows = group.shape(p.t, p.v)
+    L = _orbit_log_base(p, group)
+    num = mp.log(binomial(p.k, p.t)) + mp.log(full) + mp.log(L) + 1
+    return float(order * num / L + constant_rows)
 
 
 def first_stage_n(p: Parameters, group: GroupKind, target_uncovered: float) -> int:
@@ -94,25 +92,12 @@ def gss_bound(p: Parameters) -> float:
 
 def cyclic_two_stage_bound(p: Parameters) -> float:
     """Two-stage bound for arrays developed over the cyclic symbol group."""
-    q = p.v ** (p.t - 1)
-    L = _log_ratio(q, q - 1)
-    num = mp.log(binomial(p.k, p.t)) + (p.t - 1) * mp.log(p.v) + mp.log(L) + 1
-    return float(p.v * num / L)
+    return two_stage_bound(p, GroupKind.CYCLIC)
 
 
 def frobenius_two_stage_bound(p: Parameters) -> float:
     """Two-stage bound for arrays developed over the Frobenius group."""
-    if prime_power(p.v) is None:
-        raise ValueError(f"Frobenius group requires a prime-power v, got {p.v}")
-    q = p.v ** (p.t - 1)
-    L = _log_ratio(q, q - p.v + 1)
-    num = (
-        mp.log(binomial(p.k, p.t))
-        + mp.log(mpf(q - 1) / (p.v - 1))
-        + mp.log(L)
-        + 1
-    )
-    return float(p.v * (p.v - 1) * num / L + p.v)
+    return two_stage_bound(p, GroupKind.FROBENIUS)
 
 
 def _conflict_pairs(p: Parameters, i: int) -> int:

@@ -10,16 +10,17 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import bounds
-from .coverage import uncovered_list, verify_covering_array
+from .coverage import uncovered_list
 from .groups import GroupKind
 from .model import Parameters
-from .pipeline import RunSpec, benchmark, run
+from .pipeline import (STAGE1_KINDS, STAGE2_KINDS, RunSpec, VerificationFailed,
+                       benchmark, run)
 from .stage1 import IterationCapExceeded, RetriesExhausted
 
 REPORT_SCHEMA = "ca-forge/1"
@@ -83,17 +84,7 @@ def parse_array_file(text: str):
 
 
 def _bound_row(p: Parameters) -> dict:
-    rep = bounds.bound_report(p)
-    return {
-        "t": p.t, "k": p.k, "v": p.v,
-        "slj": rep.slj, "discrete_slj": rep.discrete_slj,
-        "two_stage": rep.two_stage, "gss": rep.gss,
-        "cyclic_two_stage": rep.cyclic_two_stage,
-        "frobenius_two_stage": rep.frobenius_two_stage,
-        "lll_two_stage": rep.lll_two_stage,
-        "optimistic_coloring": rep.optimistic_coloring,
-        "conservative_coloring": rep.conservative_coloring,
-    }
+    return {"t": p.t, "k": p.k, "v": p.v, **asdict(bounds.bound_report(p))}
 
 
 def cmd_construct(args) -> int:
@@ -112,25 +103,15 @@ def cmd_construct(args) -> int:
     except (RetriesExhausted, IterationCapExceeded) as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return EXIT_CONSTRUCTION
-    if rep.verified is False:
+    except VerificationFailed as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(serialize_array(array, p))
     if args.report:
-        doc = {
-            "schema": REPORT_SCHEMA,
-            "n_stage1": rep.n_stage1,
-            "uncovered_after_stage1": rep.uncovered_after_stage1,
-            "rows_stage2": rep.rows_stage2,
-            "N_final": rep.N_final,
-            "bound_predicted": rep.bound_predicted,
-            "retries": rep.retries,
-            "wall_time": rep.wall_time,
-            "verified": rep.verified,
-        }
         with open(args.report, "w") as fh:
-            json.dump(doc, fh, indent=2)
+            json.dump({"schema": REPORT_SCHEMA, **asdict(rep)}, fh, indent=2)
             fh.write("\n")
     print(f"N={rep.N_final} (stage1 {rep.n_stage1}, stage2 {rep.rows_stage2}, "
           f"bound {rep.bound_predicted:.1f})")
@@ -149,17 +130,18 @@ def cmd_verify(args) -> int:
         v = args.v if args.v is not None else p.v
         try:
             p = Parameters(t=t, k=p.k, v=v)
+            if array.size and array.max() >= v:
+                raise ValueError(f"symbol {array.max()} out of range for v={v}")
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-    if verify_covering_array(array, p):
+    found = uncovered_list(array, p, cap=0)
+    if not found.uncovered:
         print("covering array: OK")
         return EXIT_OK
-    first = uncovered_list(array, p, cap=0).uncovered
-    if first:
-        item = first[0]
-        print(f"not a covering array; first uncovered: "
-              f"columns {item.columns} symbols {item.symbols}")
+    item = found.uncovered[0]
+    print(f"not a covering array; first uncovered: "
+          f"columns {item.columns} symbols {item.symbols}")
     return EXIT_NOT_COVERING
 
 
@@ -184,38 +166,43 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
+def _grid_spec(fields: dict) -> RunSpec:
+    known = {"t", "k", "v", "stage1", "stage2", "group", "r_mult", "seed", "verify"}
+    unknown = set(fields) - known
+    if unknown:
+        raise ValueError(f"unknown grid keys: {sorted(unknown)}")
+    p = Parameters(t=int(fields["t"]), k=int(fields["k"]), v=int(fields["v"]))
+    return RunSpec(
+        p=p,
+        stage1=fields.get("stage1", "rand"),
+        stage2=fields.get("stage2", "naive"),
+        r_multiplier=float(fields.get("r_mult", 1.0)),
+        group=GroupKind(fields.get("group", "trivial")),
+        seed=int(fields.get("seed", 0)),
+        verify=fields.get("verify", "false").lower() in ("1", "true", "yes"),
+    )
+
+
 def parse_grid(text: str):
-    """Grid files are blank-line-separated stanzas of key=value lines.
+    """Grid files are stanzas of key=value lines, separated by blank or
+    whitespace-only lines; a key may appear once per stanza.
 
     Keys: t, k, v (required); stage1, stage2, group, r_mult, seed, verify.
     """
-    specs = []
-    for chunk in text.split("\n\n"):
-        fields = {}
-        for line in chunk.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+    specs, fields = [], {}
+    for line in [*text.splitlines(), ""]:
+        line = line.strip()
+        if not line:
+            if fields:
+                specs.append(_grid_spec(fields))
+            fields = {}
+        elif not line.startswith("#"):
             if "=" not in line:
                 raise ValueError(f"bad grid line: {line!r}")
             key, val = (part.strip() for part in line.split("=", 1))
+            if key in fields:
+                raise ValueError(f"duplicate grid key {key!r} in one stanza")
             fields[key] = val
-        if not fields:
-            continue
-        known = {"t", "k", "v", "stage1", "stage2", "group", "r_mult", "seed", "verify"}
-        unknown = set(fields) - known
-        if unknown:
-            raise ValueError(f"unknown grid keys: {sorted(unknown)}")
-        p = Parameters(t=int(fields["t"]), k=int(fields["k"]), v=int(fields["v"]))
-        specs.append(RunSpec(
-            p=p,
-            stage1=fields.get("stage1", "rand"),
-            stage2=fields.get("stage2", "naive"),
-            r_multiplier=float(fields.get("r_mult", 1.0)),
-            group=GroupKind(fields.get("group", "trivial")),
-            seed=int(fields.get("seed", 0)),
-            verify=fields.get("verify", "false").lower() in ("1", "true", "yes"),
-        ))
     return specs
 
 
@@ -249,9 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--t", type=int, required=True)
     c.add_argument("--k", type=int, required=True)
     c.add_argument("--v", type=int, required=True)
-    c.add_argument("--stage1", choices=["rand", "mt"], default="rand")
-    c.add_argument("--stage2", choices=["naive", "greedy", "col", "den"],
-                   default="naive")
+    c.add_argument("--stage1", choices=STAGE1_KINDS, default="rand")
+    c.add_argument("--stage2", choices=STAGE2_KINDS, default="naive")
     c.add_argument("--r-mult", type=float, default=1.0)
     c.add_argument("--group", choices=[g.value for g in GroupKind],
                    default="trivial")

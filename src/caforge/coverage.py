@@ -52,32 +52,4 @@ def uncovered_list(array, p: Parameters, group: GroupKind = GroupKind.TRIVIAL,
 
 def verify_covering_array(array, p: Parameters) -> bool:
     """True iff every interaction (trivial group, no orbits) is covered."""
-    array = np.asarray(array)
-    if array.shape[0] == 0:
-        return False
-    table = orbit_table(p.t, p.v, GroupKind.TRIVIAL)
-    for cols in itertools.combinations(range(p.k), p.t):
-        ranks = array[:, list(cols)] @ table.radix
-        if len(np.unique(ranks)) < table.n_orbits:
-            return False
-    return True
-
-
-def count_new_coverage(array, row, p: Parameters,
-                       group: GroupKind = GroupKind.TRIVIAL) -> int:
-    """Orbits covered by ``row`` but by no row of ``array``."""
-    array = np.asarray(array)
-    row = np.asarray(row)
-    table = orbit_table(p.t, p.v, group)
-    new = 0
-    for cols in itertools.combinations(range(p.k), p.t):
-        cols = list(cols)
-        o = int(table.orbit_of[int(row[cols] @ table.radix)])
-        if o < 0:
-            continue
-        if array.shape[0] == 0:
-            new += 1
-            continue
-        if not _covered_mask(array, cols, table)[o]:
-            new += 1
-    return new
+    return uncovered_list(array, p, cap=0).uncovered_count == 0

@@ -34,12 +34,19 @@ class GroupKind(enum.Enum):
     CYCLIC = "cyclic"
     FROBENIUS = "frobenius"
 
-    def order(self, v: int) -> int:
+    def shape(self, t: int, v: int) -> tuple[int, int, int]:
+        """(order |G|, full orbits per column t-set, constant rows).
+
+        Frobenius short orbits are the v constant tuples, covered by the v
+        constant rows that ``develop`` appends.
+        """
         if self is GroupKind.TRIVIAL:
-            return 1
+            return 1, v**t, 0
         if self is GroupKind.CYCLIC:
-            return v
-        return v * (v - 1)
+            return v, v ** (t - 1), 0
+        if prime_power(v) is None:
+            raise ValueError(f"Frobenius group requires a prime-power v, got {v}")
+        return v * (v - 1), (v ** (t - 1) - 1) // (v - 1), v
 
 
 def prime_power(v: int):
@@ -198,14 +205,8 @@ def orbit_count(p: Parameters, group: GroupKind):
     appended constant rows, so only full orbits need first-stage coverage.
     """
     eta = binomial(p.k, p.t)
-    if group is GroupKind.TRIVIAL:
-        return eta * p.v**p.t, 0
-    if group is GroupKind.CYCLIC:
-        return eta * p.v ** (p.t - 1), 0
-    if prime_power(p.v) is None:
-        raise ValueError(f"Frobenius group requires a prime-power v, got {p.v}")
-    full = (p.v ** (p.t - 1) - 1) // (p.v - 1)
-    return eta * full, eta
+    _, full, constant_rows = group.shape(p.t, p.v)
+    return eta * full, eta if constant_rows else 0
 
 
 def develop(array: np.ndarray, group: GroupKind, v: int) -> np.ndarray:

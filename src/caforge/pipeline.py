@@ -10,7 +10,7 @@ import numpy as np
 
 from . import bounds, stage1, stage2
 from .coverage import uncovered_list, verify_covering_array
-from .groups import GroupKind, develop, prime_power
+from .groups import GroupKind, develop
 from .model import Parameters
 
 
@@ -41,8 +41,9 @@ class RunSpec:
             raise ValueError("r_multiplier must be positive")
         if self.stage1 == "mt" and self.p.k < 2 * self.p.t:
             raise ValueError("mt first stage requires k >= 2t")
-        if self.group is GroupKind.FROBENIUS and prime_power(self.p.v) is None:
-            raise ValueError(f"Frobenius group requires a prime-power v, got {self.p.v}")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
+        self.group.shape(self.p.t, self.p.v)  # rejects Frobenius without a prime power
 
 
 @dataclass
@@ -59,11 +60,7 @@ class RunReport:
 
 def predicted_bound(spec: RunSpec) -> float:
     """The closed-form size bound matching the run's group (at r = rho)."""
-    if spec.group is GroupKind.CYCLIC:
-        return bounds.cyclic_two_stage_bound(spec.p)
-    if spec.group is GroupKind.FROBENIUS:
-        return bounds.frobenius_two_stage_bound(spec.p)
-    return bounds.two_stage_bound(spec.p)
+    return bounds.two_stage_bound(spec.p, spec.group)
 
 
 def group_rho(p: Parameters, group: GroupKind) -> float:
@@ -156,7 +153,7 @@ def benchmark(grid):
         except Exception as exc:  # noqa: BLE001 - recorded per row
             base.update(
                 n_stage1="", uncovered="", rows_stage2="", N_final="",
-                bound="", verified=f"error:{type(exc).__name__}", seconds="",
+                bound="", verified=f"error:{type(exc).__name__}: {exc}", seconds="",
             )
         rows.append(base)
     return rows

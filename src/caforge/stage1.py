@@ -16,7 +16,7 @@ from mpmath import mp
 
 from . import bounds
 from .coverage import _covered_mask, uncovered_list
-from .groups import GroupKind, orbit_table, prime_power
+from .groups import GroupKind, orbit_table
 from .model import Parameters, binomial
 
 
@@ -66,17 +66,31 @@ def mt_row_count(p: Parameters, group: GroupKind) -> int:
     substituted for the chosen group."""
     if p.k < 2 * p.t:
         raise ValueError("Moser-Tardos construction requires k >= 2t")
-    if group is GroupKind.TRIVIAL:
-        per_colset = p.v**p.t
-    elif group is GroupKind.CYCLIC:
-        per_colset = p.v ** (p.t - 1)
-    else:
-        if prime_power(p.v) is None:
-            raise ValueError(f"Frobenius group requires a prime-power v, got {p.v}")
-        per_colset = (p.v ** (p.t - 1) - 1) // (p.v - 1)
+    _, full, _ = group.shape(p.t, p.v)
     dep = binomial(p.k, p.t) - binomial(p.k - p.t, p.t)
     L = bounds._orbit_log_base(p, group)
-    return int(mp.ceil((mp.log(dep) + mp.log(per_colset) + 1) / L))
+    return int(mp.ceil((mp.log(dep) + mp.log(full) + 1) / L))
+
+
+def _resample(p: Parameters, table, wanted, n: int, seed: int,
+              iteration_cap: int) -> np.ndarray:
+    """Moser-Tardos: draw n random rows, then resample the columns of the
+    first column t-set (in lexicographic order) that misses a ``wanted``
+    orbit, until no column t-set does."""
+    rng = _rng(seed, 0)
+    array = rng.integers(0, p.v, size=(n, p.k), dtype=np.int64)
+    colsets = [list(c) for c in itertools.combinations(range(p.k), p.t)]
+    resamples = 0
+    while True:
+        for cols in colsets:
+            if not _covered_mask(array, cols, table)[wanted].all():
+                array[:, cols] = rng.integers(0, p.v, size=(n, p.t), dtype=np.int64)
+                resamples += 1
+                if resamples > iteration_cap:
+                    raise IterationCapExceeded(f"more than {iteration_cap} resamples")
+                break
+        else:
+            return array
 
 
 def mt_construct(p: Parameters, group: GroupKind, seed: int = 0,
@@ -87,24 +101,9 @@ def mt_construct(p: Parameters, group: GroupKind, seed: int = 0,
     yields a covering array.
     """
     n = mt_row_count(p, group)
-    rng = _rng(seed, 0)
-    array = rng.integers(0, p.v, size=(n, p.k), dtype=np.int64)
     table = orbit_table(p.t, p.v, group)
-    colsets = [list(c) for c in itertools.combinations(range(p.k), p.t)]
-    resamples = 0
-    while True:
-        clean = True
-        for cols in colsets:
-            mask = _covered_mask(array, cols, table)
-            if not mask.all():
-                array[:, cols] = rng.integers(0, p.v, size=(n, p.t), dtype=np.int64)
-                resamples += 1
-                if resamples > iteration_cap:
-                    raise IterationCapExceeded(f"more than {iteration_cap} resamples")
-                clean = False
-                break
-        if clean:
-            return array
+    wanted = np.ones(table.n_orbits, dtype=bool)
+    return _resample(p, table, wanted, n, seed, iteration_cap)
 
 
 @dataclass(frozen=True)
@@ -136,24 +135,8 @@ def mt_first_stage(p: Parameters, subset: TupleSubset, seed: int = 0,
         raise ValueError("mt_first_stage requires k >= 2t")
     if n is None:
         n, _ = bounds.lll_first_stage_n(p)
-    rng = _rng(seed, 0)
-    array = rng.integers(0, p.v, size=(n, p.k), dtype=np.int64)
     table = orbit_table(p.t, p.v, GroupKind.TRIVIAL)
     wanted = np.zeros(table.n_orbits, dtype=bool)
     wanted[list(subset.ranks)] = True
-    colsets = [list(c) for c in itertools.combinations(range(p.k), p.t)]
-    resamples = 0
-    while True:
-        clean = True
-        for cols in colsets:
-            mask = _covered_mask(array, cols, table)
-            if not mask[wanted].all():
-                array[:, cols] = rng.integers(0, p.v, size=(n, p.t), dtype=np.int64)
-                resamples += 1
-                if resamples > iteration_cap:
-                    raise IterationCapExceeded(f"more than {iteration_cap} resamples")
-                clean = False
-                break
-        if clean:
-            break
+    array = _resample(p, table, wanted, n, seed, iteration_cap)
     return array, uncovered_list(array, p, GroupKind.TRIVIAL)

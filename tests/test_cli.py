@@ -4,13 +4,14 @@ import json
 import numpy as np
 import pytest
 
-from caforge import Parameters, verify_covering_array
+from caforge import Parameters, pipeline, stage1, verify_covering_array
 from caforge.cli import (
     CSV_HEADER,
     EXIT_CONSTRUCTION,
     EXIT_NOT_COVERING,
     EXIT_OK,
     EXIT_USAGE,
+    EXIT_VERIFY,
     ArrayFileError,
     main,
     parse_array_file,
@@ -108,6 +109,20 @@ class TestVerifyCommand:
         assert main(["verify", "--in", str(f)]) == EXIT_OK
         assert main(["verify", "--in", str(f), "--t", "3"]) == EXIT_OK
 
+    def test_override_v_below_symbols(self, tmp_path, capsys):
+        # (1, 1) is missing on columns 0 and 1, and symbol 2 has no place
+        # in a binary array
+        f = tmp_path / "ternary.txt"
+        f.write_text("CA 4 2 2 3\n0 0\n0 1\n1 0\n2 0\n")
+        assert main(["verify", "--in", str(f), "--v", "2"]) == EXIT_USAGE
+        assert "out of range" in capsys.readouterr().err
+
+    def test_override_v_above_symbols(self, tmp_path, capsys):
+        f = tmp_path / "binary.txt"
+        f.write_text("CA 4 2 2 2\n0 0\n0 1\n1 0\n1 1\n")
+        assert main(["verify", "--in", str(f), "--v", "3"]) == EXIT_NOT_COVERING
+        assert "symbols (0, 2)" in capsys.readouterr().out
+
 
 class TestBoundsCommand:
     def test_csv_range(self, capsys):
@@ -158,6 +173,18 @@ class TestGridParsing:
         with pytest.raises(ValueError):
             parse_grid("t=2\nk=5\nv=2\nnot a kv line\n")
 
+    @pytest.mark.parametrize("text", [
+        "t=2\r\nk=5\r\nv=2\r\n\r\nt=2\r\nk=6\r\nv=3\r\n",   # CRLF
+        "t=2\nk=5\nv=2\n \t \nt=2\nk=6\nv=3\n",             # whitespace-only
+    ], ids=["crlf", "whitespace-separator"])
+    def test_separators(self, text):
+        specs = parse_grid(text)
+        assert [(s.p.k, s.p.v) for s in specs] == [(5, 2), (6, 3)]
+
+    def test_duplicate_key(self):
+        with pytest.raises(ValueError, match="duplicate grid key 'k'"):
+            parse_grid("t=2\nk=5\nv=2\nk=6\n")
+
 
 class TestBenchmarkCommand:
     def test_writes_csv(self, tmp_path, capsys):
@@ -184,6 +211,19 @@ class TestBenchmarkCommand:
                      "--out", str(out)]) == EXIT_USAGE
         assert "malformed grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        "t=2\nk=5\nv=2\nseed=-1\n",
+        "t=2\nk=5\nv=2\n\nt=2\nk=6\nk=7\nv=2\n",
+    ], ids=["negative-seed", "duplicate-key"])
+    def test_rejected_grid_usage_error(self, tmp_path, capsys, text):
+        grid = tmp_path / "grid.txt"
+        grid.write_text(text)
+        out = tmp_path / "results.csv"
+        assert main(["benchmark", "--grid", str(grid),
+                     "--out", str(out)]) == EXIT_USAGE
+        assert "malformed grid" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestUsage:
     def test_no_command(self, capsys):
@@ -191,3 +231,31 @@ class TestUsage:
 
     def test_unknown_flag(self, capsys):
         assert main(["construct", "--bogus"]) == EXIT_USAGE
+
+
+def _raise_retries(*args, **kwargs):
+    raise stage1.RetriesExhausted("injected")
+
+
+class TestExitCodes:
+    """Every documented exit status is reachable from the command line."""
+
+    @pytest.mark.parametrize("code, argv, patch, err", [
+        (EXIT_OK, ["construct", "--t", "2", "--k", "4", "--v", "2", "--verify"],
+         None, ""),
+        (EXIT_NOT_COVERING, ["verify", "--in", "{bad}"], None, ""),
+        (EXIT_USAGE, ["construct", "--t", "2", "--k", "4", "--v", "2",
+                      "--seed", "-1"], None, "seed must be nonnegative"),
+        (EXIT_CONSTRUCTION, ["construct", "--t", "2", "--k", "4", "--v", "2"],
+         (stage1, "rand_first_stage", _raise_retries), "construction failed"),
+        (EXIT_VERIFY, ["construct", "--t", "2", "--k", "4", "--v", "2", "--verify"],
+         (pipeline, "verify_covering_array", lambda array, p: False),
+         "verification failed"),
+    ], ids=["ok", "not-covering", "usage", "construction", "verify"])
+    def test_reachable(self, tmp_path, monkeypatch, capsys, code, argv, patch, err):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("CA 2 3 2 2\n0 0 0\n1 1 1\n")
+        if patch:
+            monkeypatch.setattr(*patch)
+        assert main([a.format(bad=bad) for a in argv]) == code
+        assert err in capsys.readouterr().err

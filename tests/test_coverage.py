@@ -8,7 +8,6 @@ from caforge import (
     GroupKind,
     Interaction,
     Parameters,
-    count_new_coverage,
     develop,
     interaction_count,
     uncovered_list,
@@ -102,38 +101,6 @@ class TestVerify:
             assert verify_covering_array(array, p) == (
                 uncovered_list(array, p).uncovered_count == 0
             )
-
-
-class TestCountNewCoverage:
-    def test_first_row_covers_eta(self):
-        p = Parameters(2, 5, 3)
-        row = np.array([0, 1, 2, 0, 1])
-        empty = np.zeros((0, 5), dtype=int)
-        assert count_new_coverage(empty, row, p) == 10
-
-    def test_duplicate_row_adds_nothing(self, rng):
-        p = Parameters(2, 5, 3)
-        array = random_array(rng, 4, 5, 3)
-        assert count_new_coverage(array, array[2], p) == 0
-
-    def test_matches_delta_of_uncovered(self, rng):
-        p = Parameters(2, 4, 3)
-        for _ in range(15):
-            array = random_array(rng, int(rng.integers(0, 6)), 4, 3)
-            row = random_array(rng, 1, 4, 3)[0]
-            before = uncovered_list(array, p).uncovered_count
-            after = uncovered_list(np.vstack([array, row]), p).uncovered_count
-            assert count_new_coverage(array, row, p) == before - after
-
-    def test_group_delta(self, rng):
-        p = Parameters(2, 4, 3)
-        for group in (GroupKind.CYCLIC, GroupKind.FROBENIUS):
-            array = random_array(rng, 2, 4, 3)
-            row = random_array(rng, 1, 4, 3)[0]
-            before = uncovered_list(array, p, group=group).uncovered_count
-            after = uncovered_list(np.vstack([array, row]), p,
-                                   group=group).uncovered_count
-            assert count_new_coverage(array, row, p, group=group) == before - after
 
 
 class TestInteractionOrdering:

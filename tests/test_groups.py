@@ -133,6 +133,26 @@ class TestOrbitCount:
     def test_frobenius_needs_prime_power(self):
         with pytest.raises(ValueError):
             orbit_count(Parameters(2, 4, 6), GroupKind.FROBENIUS)
+        with pytest.raises(ValueError, match="prime-power v, got 6"):
+            GroupKind.FROBENIUS.shape(2, 6)
+
+
+class TestGroupShape:
+    @pytest.mark.parametrize("group,t,v", [
+        (GroupKind.TRIVIAL, 2, 3), (GroupKind.TRIVIAL, 3, 6),
+        (GroupKind.CYCLIC, 2, 4), (GroupKind.CYCLIC, 3, 6),
+        (GroupKind.FROBENIUS, 2, 3), (GroupKind.FROBENIUS, 3, 4),
+        (GroupKind.FROBENIUS, 4, 3), (GroupKind.FROBENIUS, 2, 8),
+    ])
+    def test_matches_orbit_table(self, group, t, v):
+        # full orbits of |G| tuples each, plus the constant tuples that the
+        # constant rows cover, partition all v^t tuples
+        order, full, constant_rows = group.shape(t, v)
+        tbl = OrbitTable(t, v, group)
+        assert tbl.n_orbits == full
+        assert all(len(m) == order for m in tbl.members)
+        assert np.count_nonzero(tbl.orbit_of < 0) == constant_rows
+        assert order * full + constant_rows == v**t
 
 
 class TestDevelop:

@@ -26,6 +26,10 @@ class TestRunSpec:
         with pytest.raises(ValueError):
             RunSpec(p=Parameters(2, 5, 2), r_multiplier=0.0)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed"):
+            RunSpec(p=Parameters(2, 5, 2), seed=-1)
+
 
 class TestGroupRho:
     def test_trivial_matches_vt_scale(self):
@@ -135,7 +139,8 @@ class TestBenchmark:
         bad = RunSpec(p=Parameters(3, 5, 2), seed=0)
         object.__setattr__(bad, "stage1", "mt")
         rows = benchmark([good, bad, good])
-        assert rows[1]["verified"] == "error:ValueError"
+        assert rows[1]["verified"] == (
+            "error:ValueError: lll_first_stage_n requires k >= 2t")
         assert rows[0]["N_final"] >= 1 and rows[2]["N_final"] >= 1
 
     def test_empty_grid_rejected(self):
