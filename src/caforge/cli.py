@@ -125,17 +125,13 @@ def cmd_verify(args) -> int:
     except (OSError, ArrayFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.t is not None or args.v is not None:
-        t = args.t if args.t is not None else p.t
-        v = args.v if args.v is not None else p.v
-        try:
-            p = Parameters(t=t, k=p.k, v=v)
-            if array.size and array.max() >= v:
-                raise ValueError(f"symbol {array.max()} out of range for v={v}")
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    found = uncovered_list(array, p, cap=0)
+    try:
+        p = Parameters(t=p.t if args.t is None else args.t, k=p.k,
+                       v=p.v if args.v is None else args.v)
+        found = uncovered_list(array, p, cap=0)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if not found.uncovered:
         print("covering array: OK")
         return EXIT_OK

@@ -30,18 +30,17 @@ def uncovered_list(array, p: Parameters, group: GroupKind = GroupKind.TRIVIAL,
     """List uncovered orbits, stopping early once more than ``cap`` are found.
 
     With the trivial group the items are plain interactions; otherwise each
-    item carries the orbit's canonical representative symbols.
+    item carries the orbit's canonical representative symbols.  Raises
+    ValueError when a symbol lies outside [0, v).
     """
     array = np.asarray(array)
+    if array.size and (array.min() < 0 or array.max() >= p.v):
+        raise ValueError(f"symbol out of range for v={p.v}")
     table = orbit_table(p.t, p.v, group)
     report = CoverageReport()
     for cols in itertools.combinations(range(p.k), p.t):
-        if array.shape[0] == 0:
-            missing = range(table.n_orbits)
-        else:
-            mask = _covered_mask(array, list(cols), table)
-            missing = np.flatnonzero(~mask)
-        for o in missing:
+        mask = _covered_mask(array, list(cols), table)
+        for o in np.flatnonzero(~mask):
             report.uncovered.append(Interaction(cols, table.rep_symbols(int(o))))
             report.uncovered_count += 1
             if cap is not None and report.uncovered_count > cap:

@@ -1,8 +1,9 @@
 """Symbol-group actions: trivial, cyclic shift, and Frobenius (affine maps).
 
-The cyclic group always acts by integer addition mod v, even when v is a
-prime power.  The Frobenius group x -> a*x + b (a != 0) acts through
-finite-field arithmetic and therefore requires v to be a prime power.
+A group is its table of symbol maps, ``symbol_maps``; orbit tables, canonical
+forms and ``develop`` derive from it.  The cyclic group acts by addition mod v,
+even when v is a prime power; the Frobenius group x -> a*x + b (a != 0) acts
+through finite-field arithmetic and so requires a prime-power v.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ def prime_power(v: int):
 
 
 class FiniteField:
-    """GF(p^e) with full add/mul/neg/inverse lookup tables.
+    """GF(p^e) with full add/mul lookup tables.
 
     Symbols are coefficient ranks: symbol s represents the polynomial
     sum_i c_i x^i where (c_0, c_1, ...) are the base-p digits of s.
@@ -90,13 +91,6 @@ class FiniteField:
             for b in range(v):
                 self.add[a, b] = self._add(a, b)
                 self.mul[a, b] = self._mul(a, b)
-        self.neg = np.array(
-            [next(b for b in range(v) if self.add[a, b] == 0) for a in range(v)],
-            dtype=np.int64,
-        )
-        self.inv = np.zeros(v, dtype=np.int64)  # entry 0 unused
-        for a in range(1, v):
-            self.inv[a] = next(b for b in range(1, v) if self.mul[a, b] == 1)
 
     def _digits(self, s: int) -> list:
         d = []
@@ -132,9 +126,6 @@ class FiniteField:
                     prod[i - self.e + j] = (prod[i - self.e + j] - c * m) % self.p
                 prod[i] = 0
         return self._rank(prod[: self.e])
-
-    def sub(self, a: int, b: int) -> int:
-        return int(self.add[a, self.neg[b]])
 
     def affine(self, a: int, b: int, x):
         """Apply x -> a*x + b elementwise (x may be an array of symbols)."""
@@ -176,26 +167,33 @@ def field_for(v: int) -> FiniteField:
     return FiniteField(v)
 
 
+def symbol_maps(group: GroupKind, v: int) -> np.ndarray:
+    """The group as a |G| x v table: row g sends symbol s to ``maps[g, s]``.
+
+    Row 0 is the identity, and rows follow ``develop``'s block order: cyclic
+    row b is x -> x + b mod v, Frobenius row (a-1)*v + b is x -> a*x + b.
+    """
+    x = np.arange(v, dtype=np.int64)
+    if group is GroupKind.TRIVIAL:
+        return x[None, :]
+    if group is GroupKind.CYCLIC:
+        return (x[None, :] + x[:, None]) % v
+    f = field_for(v)
+    return np.array([f.affine(a, b, x) for a in range(1, v) for b in range(v)])
+
+
 def canonicalize(group: GroupKind, symbols: tuple, v: int):
     """Map a symbol tuple to its orbit's canonical representative.
 
-    Returns (canonical, is_short).  The cyclic canonical form starts with 0;
-    the Frobenius canonical form starts with 0 and has 1 in the first
-    position that differs from the first.  Short orbits (constant tuples)
-    occur only under Frobenius.
+    Returns (canonical, is_short).  The canonical form is the orbit's
+    least-rank member; short orbits (constant tuples) occur only under
+    Frobenius and map to the all-zero tuple.
     """
-    if group is GroupKind.TRIVIAL:
-        return tuple(symbols), False
-    if group is GroupKind.CYCLIC:
-        s0 = symbols[0]
-        return tuple((s - s0) % v for s in symbols), False
-    f = field_for(v)
-    first = symbols[0]
-    j = next((i for i, s in enumerate(symbols) if s != first), None)
-    if j is None:
+    table = orbit_table(len(symbols), v, group)
+    orbit = int(table.orbit_of[int(np.dot(symbols, table.radix))])
+    if orbit < 0:
         return (0,) * len(symbols), True
-    a = int(f.inv[f.sub(symbols[j], first)])
-    return tuple(int(f.mul[a, f.sub(s, first)]) for s in symbols), False
+    return table.rep_symbols(orbit), False
 
 
 def orbit_count(p: Parameters, group: GroupKind):
@@ -212,26 +210,22 @@ def orbit_count(p: Parameters, group: GroupKind):
 def develop(array: np.ndarray, group: GroupKind, v: int) -> np.ndarray:
     """Expand every row by the group action.
 
-    Cyclic: v translated copies of each row.  Frobenius: v(v-1) affine
-    images of each row, plus the v constant rows appended at the end.
+    One block of images per group element, in ``symbol_maps`` row order
+    (identity first), then the constant rows that cover the short orbits.
     """
     array = np.asarray(array)
-    if group is GroupKind.TRIVIAL:
-        return array.copy()
-    if group is GroupKind.CYCLIC:
-        blocks = [(array + b) % v for b in range(v)]
-        return np.concatenate(blocks, axis=0)
-    f = field_for(v)
-    blocks = [f.affine(a, b, array) for a in range(1, v) for b in range(v)]
-    k = array.shape[1]
-    const = np.repeat(np.arange(v, dtype=array.dtype), k).reshape(v, k)
+    _, _, constant_rows = group.shape(2, v)  # constant rows do not depend on t
+    # One block at a time: a single |G| x n x k image would raise peak memory.
+    blocks = [m[array] for m in symbol_maps(group, v)]
+    const = np.repeat(np.arange(constant_rows)[:, None], array.shape[1], axis=1)
     return np.concatenate(blocks + [const], axis=0)
 
 
 class OrbitTable:
     """Orbit bookkeeping for one (t, v, group): tuple rank <-> orbit index.
 
-    Tuple ranks are mixed-radix big-endian (first column most significant).
+    Tuple ranks are mixed-radix big-endian (first column most significant);
+    row r of ``tuples`` is the symbol tuple of rank r.
     ``orbit_of[rank]`` gives the orbit index, or -1 for members of a short
     orbit (Frobenius only).  Orbit indices follow the rank order of their
     canonical representatives.
@@ -240,35 +234,23 @@ class OrbitTable:
     def __init__(self, t: int, v: int, group: GroupKind):
         self.t, self.v, self.group = t, v, group
         self.radix = v ** np.arange(t - 1, -1, -1, dtype=np.int64)
-        vt = v**t
-        if group is GroupKind.TRIVIAL:
-            self.n_orbits = vt
-            self.orbit_of = np.arange(vt, dtype=np.int64)
-            self.rep_rank = np.arange(vt, dtype=np.int64)
-        else:
-            canon = np.empty(vt, dtype=np.int64)
-            for rank, tup in enumerate(itertools.product(range(v), repeat=t)):
-                c, short = canonicalize(group, tup, v)
-                canon[rank] = -1 if short else int(np.dot(c, self.radix))
-            reps = np.unique(canon[canon >= 0])
-            index = {int(r): i for i, r in enumerate(reps)}
-            self.n_orbits = len(reps)
-            self.orbit_of = np.array(
-                [index[int(c)] if c >= 0 else -1 for c in canon], dtype=np.int64
-            )
-            self.rep_rank = reps
-        members = [[] for _ in range(self.n_orbits)]
-        for rank, o in enumerate(self.orbit_of):
-            if o >= 0:
-                members[o].append(rank)
-        self.members = [np.array(m, dtype=np.int64) for m in members]
+        order, _, constant_rows = group.shape(t, v)
+        self.tuples = tuples = np.indices((v,) * t).reshape(t, -1).T
+        # An orbit's canonical rank is the least rank among its members.
+        canon = np.full(len(tuples), v**t, dtype=np.int64)
+        for m in symbol_maps(group, v):
+            np.minimum(canon, m[tuples] @ self.radix, out=canon)
+        if constant_rows:
+            canon[(tuples == tuples[:, :1]).all(axis=1)] = -1
+        self.rep_rank = np.unique(canon[canon >= 0])
+        self.n_orbits = len(self.rep_rank)
+        self.orbit_of = np.where(canon >= 0, np.searchsorted(self.rep_rank, canon), -1)
+        by_orbit = np.argsort(self.orbit_of, kind="stable")
+        full = by_orbit[np.count_nonzero(canon < 0):]
+        self.members = list(full.reshape(self.n_orbits, order))
 
     def unrank(self, rank: int) -> tuple:
-        out = []
-        for _ in range(self.t):
-            out.append(rank % self.v)
-            rank //= self.v
-        return tuple(reversed(out))
+        return tuple(self.tuples[rank].tolist())
 
     def rep_symbols(self, orbit: int) -> tuple:
         return self.unrank(int(self.rep_rank[orbit]))

@@ -3,6 +3,7 @@ develop over the group, verify, report."""
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -37,13 +38,13 @@ class RunSpec:
             raise ValueError(f"unknown first stage {self.stage1!r}")
         if self.stage2 not in STAGE2_KINDS:
             raise ValueError(f"unknown second stage {self.stage2!r}")
-        if self.r_multiplier <= 0:
-            raise ValueError("r_multiplier must be positive")
         if self.stage1 == "mt" and self.p.k < 2 * self.p.t:
             raise ValueError("mt first stage requires k >= 2t")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         self.group.shape(self.p.t, self.p.v)  # rejects Frobenius without a prime power
+        if not 0 < self.r_multiplier * group_rho(self.p, self.group) < math.inf:
+            raise ValueError("r_multiplier must be positive and give a finite r")
 
 
 @dataclass

@@ -34,10 +34,7 @@ def _fill_flexible(rows: np.ndarray, v: int, rng: np.random.Generator) -> np.nda
 def _orbit_members(item: Interaction, p: Parameters, group: GroupKind):
     """All symbol tuples whose orbit is the item's, in tuple-rank order."""
     table = orbit_table(p.t, p.v, group)
-    if group is GroupKind.TRIVIAL:
-        return [item.symbols]
-    rank = int(np.dot(item.symbols, table.radix))
-    orbit = int(table.orbit_of[rank])
+    orbit = table.orbit_of[int(np.dot(item.symbols, table.radix))]
     return [table.unrank(int(r)) for r in table.members[orbit]]
 
 

@@ -214,7 +214,8 @@ class TestBenchmarkCommand:
     @pytest.mark.parametrize("text", [
         "t=2\nk=5\nv=2\nseed=-1\n",
         "t=2\nk=5\nv=2\n\nt=2\nk=6\nk=7\nv=2\n",
-    ], ids=["negative-seed", "duplicate-key"])
+        "t=2\nk=5\nv=2\nr_mult=nan\n",
+    ], ids=["negative-seed", "duplicate-key", "r-mult-nan"])
     def test_rejected_grid_usage_error(self, tmp_path, capsys, text):
         grid = tmp_path / "grid.txt"
         grid.write_text(text)
@@ -246,12 +247,19 @@ class TestExitCodes:
         (EXIT_NOT_COVERING, ["verify", "--in", "{bad}"], None, ""),
         (EXIT_USAGE, ["construct", "--t", "2", "--k", "4", "--v", "2",
                       "--seed", "-1"], None, "seed must be nonnegative"),
+        (EXIT_USAGE, ["construct", "--t", "2", "--k", "4", "--v", "2",
+                      "--r-mult", "nan"], None, "finite r"),
+        (EXIT_USAGE, ["construct", "--t", "2", "--k", "4", "--v", "2",
+                      "--r-mult", "inf"], None, "finite r"),
+        (EXIT_USAGE, ["construct", "--t", "2", "--k", "4", "--v", "2",
+                      "--r-mult", "1e308"], None, "finite r"),
         (EXIT_CONSTRUCTION, ["construct", "--t", "2", "--k", "4", "--v", "2"],
          (stage1, "rand_first_stage", _raise_retries), "construction failed"),
         (EXIT_VERIFY, ["construct", "--t", "2", "--k", "4", "--v", "2", "--verify"],
          (pipeline, "verify_covering_array", lambda array, p: False),
          "verification failed"),
-    ], ids=["ok", "not-covering", "usage", "construction", "verify"])
+    ], ids=["ok", "not-covering", "usage", "r-mult-nan", "r-mult-inf",
+            "r-mult-1e308", "construction", "verify"])
     def test_reachable(self, tmp_path, monkeypatch, capsys, code, argv, patch, err):
         bad = tmp_path / "bad.txt"
         bad.write_text("CA 2 3 2 2\n0 0 0\n1 1 1\n")

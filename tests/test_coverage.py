@@ -94,6 +94,15 @@ class TestVerify:
     def test_rejects_empty(self):
         assert not verify_covering_array(np.zeros((0, 4), dtype=int), Parameters(2, 4, 2))
 
+    @pytest.mark.parametrize("rows", [
+        [[0, 0], [0, 1], [0, 2], [1, 1]],   # the 2 would otherwise rank as (1, 0)
+        [[0, 0], [0, 1], [1, 0], [1, -1]],  # the -1 would otherwise wrap to 1
+        [[0, 0], [0, 1], [1, 0], [1, 1], [2, 0]],
+    ], ids=["too-large-last", "negative", "too-large-first"])
+    def test_rejects_symbol_out_of_range(self, rows):
+        with pytest.raises(ValueError, match="out of range for v=2"):
+            verify_covering_array(np.array(rows), Parameters(2, 2, 2))
+
     def test_agrees_with_uncovered_list(self, rng):
         for _ in range(20):
             p = Parameters(2, 4, 2)

@@ -1,18 +1,25 @@
 """Golden digests: pin the exact output of every stage1 x stage2 x group run.
 
-The values were recorded before the group model, the resampling loop and the
-verify scan were unified.  Any change to the RNG draw order, the coverage
-scan order, the stage-2 strategies or the bound formulas changes a digest.
-Run ``pytest tests/test_golden.py`` after every refactor; it must pass
-unedited.
+Each value was recorded at the parent of the refactor that added it, before
+that refactor changed ``src/``.  Any change to the RNG draw order, the
+coverage scan order, the stage-2 strategies or the bound formulas changes a
+digest.  Run ``pytest tests/test_golden.py`` after every refactor; it must
+pass unedited.
+
+``PYTHONPATH=src python tests/test_golden.py`` prints the ``RUNS`` and
+``BOUND_REPORTS`` literals computed by the current ``src/``.  To pin a new
+shape, add it to ``SHAPES`` and paste the output recorded before the
+refactor.
 """
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
 
 from caforge import BoundReport, GroupKind, Parameters, RunSpec, bound_report, run
+from caforge.pipeline import STAGE1_KINDS, STAGE2_KINDS
 
 
 def array_digest(array) -> str:
@@ -23,6 +30,23 @@ def array_digest(array) -> str:
 def report_digest(rep: BoundReport) -> str:
     fields = [getattr(rep, f) for f in BoundReport.__dataclass_fields__]
     return hashlib.sha256(repr(fields).encode()).hexdigest()
+
+
+SHAPES = [(2, 6, 3), (3, 7, 3), (3, 8, 4), (3, 8, 5)]
+RUN_KEYS = [(*shape, s1, s2, g.value) for shape, s1, s2, g in itertools.product(
+    SHAPES, STAGE1_KINDS, STAGE2_KINDS, GroupKind)]
+
+
+def run_values(key):
+    t, k, v, s1, s2, group = key
+    spec = RunSpec(p=Parameters(t, k, v), stage1=s1, stage2=s2,
+                   group=GroupKind(group), seed=1, verify=True)
+    array, rep = run(spec)
+    assert rep.verified is True
+    return (array_digest(array),
+            (rep.n_stage1, rep.uncovered_after_stage1, rep.rows_stage2,
+             rep.N_final, rep.retries),
+            rep.bound_predicted)
 
 
 # (t, k, v, stage1, stage2, group) -> (developed-array digest,
@@ -173,6 +197,150 @@ RUNS = {
     (3, 7, 3, 'mt', 'den', 'frobenius'): (
         'aa61794515fdaebe8fbf2d306ab9e5b4fdaaf4f515a52a30b202b03a39b5db4c',
         (24, 0, 0, 147, 0), 111.88173907784176),
+    (3, 8, 4, 'rand', 'naive', 'trivial'): (
+        '81e685d15c39c7221b2f4e20ab2991dc0cfc02e487f072d3d954bd936569798d',
+        (257, 50, 50, 307, 5), 319.60258112273215),
+    (3, 8, 4, 'rand', 'naive', 'cyclic'): (
+        '7822f684b989e4895e7bf2c9ac79fce01cdb9fa46e54fd273b8bc4e1104f0ca1',
+        (63, 15, 15, 312, 2), 313.4529466942109),
+    (3, 8, 4, 'rand', 'naive', 'frobenius'): (
+        '4a3f1d8edc548079d717fa4738f80981a7e6be69dd8ea6d2008da16ab83ca8bb',
+        (20, 3, 3, 280, 1), 296.59406074389955),
+    (3, 8, 4, 'rand', 'greedy', 'trivial'): (
+        '17e694961e80741904c8bac2296aaf80fd9dfb2f82d5768ea618117e2d38601b',
+        (257, 50, 16, 273, 5), 319.60258112273215),
+    (3, 8, 4, 'rand', 'greedy', 'cyclic'): (
+        '980b35207b2080331871b296d0801a7eef11eafa44dede062bbe5502308d952a',
+        (63, 15, 5, 272, 2), 313.4529466942109),
+    (3, 8, 4, 'rand', 'greedy', 'frobenius'): (
+        '72bffad71596e4a256a3bbef83cbe69842276d259bc74dcd4f10bd42944b428c',
+        (20, 3, 1, 256, 1), 296.59406074389955),
+    (3, 8, 4, 'rand', 'col', 'trivial'): (
+        '2a1d6619607240fae76e5838e12ee352efcfed9ecbaefdd1b87cf60a6ec256c0',
+        (257, 50, 12, 269, 5), 319.60258112273215),
+    (3, 8, 4, 'rand', 'col', 'cyclic'): (
+        '4e3a37184e31ee6dfb9ffc9bb9d06c94ddc38c7986e64d2fd4ba87c2666bf257',
+        (63, 15, 4, 268, 2), 313.4529466942109),
+    (3, 8, 4, 'rand', 'col', 'frobenius'): (
+        '72bffad71596e4a256a3bbef83cbe69842276d259bc74dcd4f10bd42944b428c',
+        (20, 3, 1, 256, 1), 296.59406074389955),
+    (3, 8, 4, 'rand', 'den', 'trivial'): (
+        'fc31e3ede20367fd3873baad1cde99143fa6f96e4747052e9504d0d440868fb3',
+        (257, 50, 15, 272, 5), 319.60258112273215),
+    (3, 8, 4, 'rand', 'den', 'cyclic'): (
+        'cd0f3df53e68c4ce76a28e88f107a8ac2bc137eab6ab6dfd579a1ca0ae88995a',
+        (63, 15, 4, 268, 2), 313.4529466942109),
+    (3, 8, 4, 'rand', 'den', 'frobenius'): (
+        '1447583d661407ab33736803d21e92c6168a1a108f03f441c461bc5b30ab8b5d',
+        (20, 3, 3, 280, 1), 296.59406074389955),
+    (3, 8, 4, 'mt', 'naive', 'trivial'): (
+        '6aeb0ed8515c2053bc881b45a48e20a5490f28eaa8b922d61be730e8eb1f3b6b',
+        (319, 20, 20, 339, 0), 319.60258112273215),
+    (3, 8, 4, 'mt', 'naive', 'cyclic'): (
+        'ca19cbe4027cb55cbbbf0d28ceb6a38edad6894d6e9175a258fc4861fd19e6b3',
+        (118, 0, 0, 472, 0), 313.4529466942109),
+    (3, 8, 4, 'mt', 'naive', 'frobenius'): (
+        'f31139672397b159464647f5c89db9ad2a3f875a619d389b80af45cd15bd3ddf',
+        (32, 0, 0, 388, 0), 296.59406074389955),
+    (3, 8, 4, 'mt', 'greedy', 'trivial'): (
+        '135b4736049dcaf4fcc6fe59edaea6d7778838f7f47f1960780cdf2bd0dabf8f',
+        (319, 20, 7, 326, 0), 319.60258112273215),
+    (3, 8, 4, 'mt', 'greedy', 'cyclic'): (
+        'ca19cbe4027cb55cbbbf0d28ceb6a38edad6894d6e9175a258fc4861fd19e6b3',
+        (118, 0, 0, 472, 0), 313.4529466942109),
+    (3, 8, 4, 'mt', 'greedy', 'frobenius'): (
+        'f31139672397b159464647f5c89db9ad2a3f875a619d389b80af45cd15bd3ddf',
+        (32, 0, 0, 388, 0), 296.59406074389955),
+    (3, 8, 4, 'mt', 'col', 'trivial'): (
+        'adce32978f825bf86e4100edd708585b7100315caac57a865a4385a49d043676',
+        (319, 20, 7, 326, 0), 319.60258112273215),
+    (3, 8, 4, 'mt', 'col', 'cyclic'): (
+        'ca19cbe4027cb55cbbbf0d28ceb6a38edad6894d6e9175a258fc4861fd19e6b3',
+        (118, 0, 0, 472, 0), 313.4529466942109),
+    (3, 8, 4, 'mt', 'col', 'frobenius'): (
+        'f31139672397b159464647f5c89db9ad2a3f875a619d389b80af45cd15bd3ddf',
+        (32, 0, 0, 388, 0), 296.59406074389955),
+    (3, 8, 4, 'mt', 'den', 'trivial'): (
+        '921cb04afd6afb64d981acec4b4c3c12e767ff46d7502a1401569c73d11a6a10',
+        (319, 20, 7, 326, 0), 319.60258112273215),
+    (3, 8, 4, 'mt', 'den', 'cyclic'): (
+        'ca19cbe4027cb55cbbbf0d28ceb6a38edad6894d6e9175a258fc4861fd19e6b3',
+        (118, 0, 0, 472, 0), 313.4529466942109),
+    (3, 8, 4, 'mt', 'den', 'frobenius'): (
+        'f31139672397b159464647f5c89db9ad2a3f875a619d389b80af45cd15bd3ddf',
+        (32, 0, 0, 388, 0), 296.59406074389955),
+    (3, 8, 5, 'rand', 'naive', 'trivial'): (
+        '01b37009b31f91e8925bb9b897cfb0561aeeb38c776b266f6665bd930e548de4',
+        (502, 120, 120, 622, 1), 626.1525871192006),
+    (3, 8, 5, 'rand', 'naive', 'cyclic'): (
+        'cb698d8a63d10456f29add5d736d69c4a45213eacdb4b9f2e3143bf87c6fd186',
+        (100, 15, 15, 575, 1), 618.0116029919095),
+    (3, 8, 5, 'rand', 'naive', 'frobenius'): (
+        '4e960b2d790ea7582c851241c59664183fcf4c81c9959328eff32a48f7f05b38',
+        (24, 2, 2, 525, 1), 586.6279413000601),
+    (3, 8, 5, 'rand', 'greedy', 'trivial'): (
+        '3f00849fa5c90151d9622c93fcb6d4bfb9f35a18eb9f0c223a32cee8926c0ede',
+        (502, 120, 35, 537, 1), 626.1525871192006),
+    (3, 8, 5, 'rand', 'greedy', 'cyclic'): (
+        '09c3b66b8470eeffd65c9a4ca68e58d4607c05a09290bbcb144055a0c6813126',
+        (100, 15, 5, 525, 1), 618.0116029919095),
+    (3, 8, 5, 'rand', 'greedy', 'frobenius'): (
+        '2da14a1d58a8a1bf03201290a8659eeb010b736e0174a8dde4fdf68c71b7e33a',
+        (24, 2, 1, 505, 1), 586.6279413000601),
+    (3, 8, 5, 'rand', 'col', 'trivial'): (
+        'ccf089e3a8d5c6a036d7e8dc76a816a6f13fc992a79b591663c58eaf61cd6e46',
+        (502, 120, 32, 534, 1), 626.1525871192006),
+    (3, 8, 5, 'rand', 'col', 'cyclic'): (
+        'f5e12667c468a7135c683d49a3ec09e87e576852e248c9c93b54a71a34740b66',
+        (100, 15, 5, 525, 1), 618.0116029919095),
+    (3, 8, 5, 'rand', 'col', 'frobenius'): (
+        '2da14a1d58a8a1bf03201290a8659eeb010b736e0174a8dde4fdf68c71b7e33a',
+        (24, 2, 1, 505, 1), 586.6279413000601),
+    (3, 8, 5, 'rand', 'den', 'trivial'): (
+        '22730fb0b2f4cfada8a11e99c52dc8ff53d6a2d32515f10acfd035589df73f35',
+        (502, 120, 26, 528, 1), 626.1525871192006),
+    (3, 8, 5, 'rand', 'den', 'cyclic'): (
+        'd9a640a2fcb8e72db8dac5c59b4c633d6427491e2c990539c781589ffd671055',
+        (100, 15, 6, 530, 1), 618.0116029919095),
+    (3, 8, 5, 'rand', 'den', 'frobenius'): (
+        '223bd1f3733233dfe7a8917897f111cad68fe038f7e20fa86737cebf5ccc4415',
+        (24, 2, 1, 505, 1), 586.6279413000601),
+    (3, 8, 5, 'mt', 'naive', 'trivial'): (
+        '12669a1e997a492243f5e44afc062ae81f4d405ba484fc7523f6e201e2684a04',
+        (625, 37, 37, 662, 0), 626.1525871192006),
+    (3, 8, 5, 'mt', 'naive', 'cyclic'): (
+        '23d0ce41754f7d096b6156922ad46421dfd387ca3a923f9ab178c43380bc220e',
+        (198, 0, 0, 990, 0), 618.0116029919095),
+    (3, 8, 5, 'mt', 'naive', 'frobenius'): (
+        '3a34da219bede15d5f5f55e558519b5bbb759786d5a778e38a22d84d6eff9b60',
+        (38, 0, 0, 765, 0), 586.6279413000601),
+    (3, 8, 5, 'mt', 'greedy', 'trivial'): (
+        '364e626b62bafc201efeed65c7f479427443d214d5678d82c31ec79b0362de31',
+        (625, 37, 12, 637, 0), 626.1525871192006),
+    (3, 8, 5, 'mt', 'greedy', 'cyclic'): (
+        '23d0ce41754f7d096b6156922ad46421dfd387ca3a923f9ab178c43380bc220e',
+        (198, 0, 0, 990, 0), 618.0116029919095),
+    (3, 8, 5, 'mt', 'greedy', 'frobenius'): (
+        '3a34da219bede15d5f5f55e558519b5bbb759786d5a778e38a22d84d6eff9b60',
+        (38, 0, 0, 765, 0), 586.6279413000601),
+    (3, 8, 5, 'mt', 'col', 'trivial'): (
+        '0568ef7dac13e7f0dbd1ca35b3a9cbf5eaaeb26fe57d6f1c9114160d960f222d',
+        (625, 37, 12, 637, 0), 626.1525871192006),
+    (3, 8, 5, 'mt', 'col', 'cyclic'): (
+        '23d0ce41754f7d096b6156922ad46421dfd387ca3a923f9ab178c43380bc220e',
+        (198, 0, 0, 990, 0), 618.0116029919095),
+    (3, 8, 5, 'mt', 'col', 'frobenius'): (
+        '3a34da219bede15d5f5f55e558519b5bbb759786d5a778e38a22d84d6eff9b60',
+        (38, 0, 0, 765, 0), 586.6279413000601),
+    (3, 8, 5, 'mt', 'den', 'trivial'): (
+        'a6024eb513a9f77e040cba68831a751280bcd24fb2b11307ebd67f5c2eb51b25',
+        (625, 37, 13, 638, 0), 626.1525871192006),
+    (3, 8, 5, 'mt', 'den', 'cyclic'): (
+        '23d0ce41754f7d096b6156922ad46421dfd387ca3a923f9ab178c43380bc220e',
+        (198, 0, 0, 990, 0), 618.0116029919095),
+    (3, 8, 5, 'mt', 'den', 'frobenius'): (
+        '3a34da219bede15d5f5f55e558519b5bbb759786d5a778e38a22d84d6eff9b60',
+        (38, 0, 0, 765, 0), 586.6279413000601),
 }
 
 BOUND_REPORTS = {
@@ -186,20 +354,26 @@ BOUND_REPORTS = {
 }
 
 
-@pytest.mark.parametrize("key", list(RUNS), ids=lambda key: "-".join(map(str, key)))
+@pytest.mark.parametrize("key", RUN_KEYS, ids=lambda key: "-".join(map(str, key)))
 def test_run_digest(key):
-    t, k, v, s1, s2, group = key
-    spec = RunSpec(p=Parameters(t, k, v), stage1=s1, stage2=s2,
-                   group=GroupKind(group), seed=1, verify=True)
-    array, rep = run(spec)
-    digest, ints, bound = RUNS[key]
-    assert rep.verified is True
-    assert array_digest(array) == digest
-    assert (rep.n_stage1, rep.uncovered_after_stage1, rep.rows_stage2,
-            rep.N_final, rep.retries) == ints
-    assert rep.bound_predicted == bound
+    assert run_values(key) == RUNS[key]
 
 
 @pytest.mark.parametrize("triple", list(BOUND_REPORTS), ids=str)
 def test_bound_report_digest(triple):
     assert report_digest(bound_report(Parameters(*triple))) == BOUND_REPORTS[triple]
+
+
+def print_literals():
+    print("RUNS = {")
+    for key in RUN_KEYS:
+        digest, ints, bound = run_values(key)
+        print(f"    {key!r}: (\n        {digest!r},\n        {ints!r}, {float(bound)!r}),")
+    print("}\n\nBOUND_REPORTS = {")
+    for triple in BOUND_REPORTS:
+        print(f"    {triple!r}: {report_digest(bound_report(Parameters(*triple)))!r},")
+    print("}")
+
+
+if __name__ == "__main__":
+    print_literals()

@@ -55,14 +55,6 @@ class TestFiniteField:
             assert f.add[a, b] == (a + b) % 7
             assert f.mul[a, b] == (a * b) % 7
 
-    @pytest.mark.parametrize("v", PRIME_POWERS)
-    def test_inverses(self, v):
-        f = field_for(v)
-        for a in range(1, v):
-            assert f.mul[a, f.inv[a]] == 1
-        for a in range(v):
-            assert f.add[a, f.neg[a]] == 0
-
     def test_non_prime_power_rejected(self):
         with pytest.raises(ValueError):
             FiniteField(6)
@@ -177,15 +169,12 @@ class TestDevelop:
         # last v rows are the constants
         for s in range(v):
             assert np.array_equal(out[-v + s], np.full(5, s))
-        # every developed row of an original row r has the same canonical form
-        # column tuple by column tuple
+        # block (a-1)*v + b holds the image of the rows under x -> a*x + b
         f = field_for(v)
-        row = a[0]
-        images = {
-            tuple(f.affine(aa, bb, row)) for aa in range(1, v) for bb in range(v)
-        }
-        dev_rows = {tuple(r) for r in out[: 2 * v * (v - 1)]}
-        assert images <= dev_rows
+        for aa in range(1, v):
+            for bb in range(v):
+                block = (aa - 1) * v + bb
+                assert np.array_equal(out[2 * block: 2 * block + 2], f.affine(aa, bb, a))
 
     def test_cyclic_coverage_lifts(self, rng):
         # If the base array covers one representative of each cyclic orbit,
@@ -197,6 +186,40 @@ class TestDevelop:
         ])
         out = develop(base, GroupKind.CYCLIC, 3)
         assert verify_covering_array(out, p)
+
+
+class TestOrbitTableReference:
+    """Orbits built by applying each group element, written out here, to
+    every tuple; the orbit table must list exactly these orbits."""
+
+    @pytest.mark.parametrize("group", list(GroupKind), ids=lambda g: g.value)
+    @pytest.mark.parametrize("v", [2, 3, 4, 5, 8, 9])
+    def test_matches_group_action(self, group, v):
+        t = 3
+        f = field_for(v)
+        elements = {
+            GroupKind.TRIVIAL: [lambda x: x],
+            GroupKind.CYCLIC: [lambda x, b=b: (x + b) % v for b in range(v)],
+            GroupKind.FROBENIUS: [lambda x, a=a, b=b: f.add[f.mul[a, x], b]
+                                  for a in range(1, v) for b in range(v)],
+        }[group]
+        radix = v ** np.arange(t - 1, -1, -1)
+        tuples = np.array(list(itertools.product(range(v), repeat=t)))
+        orbits = {tuple(sorted({int(g(x) @ radix) for g in elements})) for x in tuples}
+        # short orbits: exactly the constant tuples, under Frobenius only
+        constant = np.flatnonzero((tuples == tuples[:, :1]).all(axis=1))
+        short = set(constant.tolist()) if group is GroupKind.FROBENIUS else set()
+        full = sorted(o for o in orbits if not short & set(o))
+        orbit_of = np.full(v**t, -1)
+        for i, o in enumerate(full):
+            orbit_of[list(o)] = i
+
+        tbl = OrbitTable(t, v, group)
+        assert tbl.n_orbits == len(full)
+        assert tbl.rep_rank.tolist() == [o[0] for o in full]
+        assert [m.tolist() for m in tbl.members] == [list(o) for o in full]
+        assert tbl.orbit_of.tolist() == orbit_of.tolist()
+        assert set(np.flatnonzero(tbl.orbit_of < 0).tolist()) == short
 
 
 class TestOrbitTable:
