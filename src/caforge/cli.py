@@ -72,12 +72,12 @@ def parse_array_file(text: str):
         raise ArrayFileError(f"expected {n} data rows, found {len(body)}")
     try:
         array = np.array([[int(x) for x in row] for row in body], dtype=np.int64)
-    except ValueError as exc:
+        if n == 0:
+            array = array.reshape(0, k)
+    except (ValueError, OverflowError) as exc:  # OverflowError: beyond int64
         raise ArrayFileError(str(exc)) from exc
     if n and array.shape != (n, k):
         raise ArrayFileError("row length does not match header k")
-    if n == 0:
-        array = array.reshape(0, k)
     if n and (array.min() < 0 or array.max() >= v):
         raise ArrayFileError("symbol out of range")
     return array, p

@@ -5,6 +5,10 @@ the chosen group.  Under a nontrivial group a strategy may commit an item to
 any member of its orbit; covering the committed representative covers the
 orbit once the array is developed.  Outputs are fully fixed row blocks to be
 appended after the first-stage array.
+
+Every strategy works on partial rows (k cells, ``FLEXIBLE`` where nothing is
+fixed) and asks one question of them, ``_agree``: two partial rows can share
+a row exactly when they agree wherever both are fixed.
 """
 
 from __future__ import annotations
@@ -25,56 +29,63 @@ class GuaranteeViolated(Exception):
     """A density row covered fewer items than the derandomization guarantees."""
 
 
+def _agree(a, b) -> np.ndarray:
+    """Whether partial rows agree in every cell both fix (last axis, broadcast)."""
+    return ((a == b) | (a == FLEXIBLE) | (b == FLEXIBLE)).all(axis=-1)
+
+
+def _item_rows(items, p: Parameters) -> np.ndarray:
+    """The items as partial rows; ValueError for a column outside [0, k) or
+    a symbol outside [0, v)."""
+    cols = np.array([item.columns for item in items], dtype=np.int64).reshape(-1, p.t)
+    syms = np.array([item.symbols for item in items], dtype=np.int64).reshape(-1, p.t)
+    if ((cols < 0) | (cols >= p.k) | (syms < 0) | (syms >= p.v)).any():
+        raise ValueError(f"item out of range for k={p.k}, v={p.v}")
+    rows = np.full((len(items), p.k), FLEXIBLE, dtype=np.int64)
+    np.put_along_axis(rows, cols, syms, axis=1)
+    return rows
+
+
 def _fill_flexible(rows: np.ndarray, v: int, rng: np.random.Generator) -> np.ndarray:
     flex = rows == FLEXIBLE
     rows[flex] = rng.integers(0, v, size=int(flex.sum()))
     return rows
 
 
-def _orbit_members(item: Interaction, p: Parameters, group: GroupKind):
-    """All symbol tuples whose orbit is the item's, in tuple-rank order."""
+def _orbit_members(item: Interaction, p: Parameters, group: GroupKind) -> np.ndarray:
+    """The symbol tuples of the item's orbit, a (|G|, t) array in rank order;
+    ValueError for a short-orbit (constant) item, which has no full orbit."""
     table = orbit_table(p.t, p.v, group)
     orbit = table.orbit_of[int(np.dot(item.symbols, table.radix))]
-    return [table.unrank(int(r)) for r in table.members[orbit]]
+    if orbit < 0:
+        raise ValueError(f"{item} lies in a short orbit")
+    return table.tuples[table.members[orbit]]
 
 
 def naive_cover(uncovered, p: Parameters, group: GroupKind,
                 rng: np.random.Generator) -> np.ndarray:
     """One row per item: fix its t cells, fill the rest uniformly."""
-    rows = np.full((len(uncovered), p.k), FLEXIBLE, dtype=np.int64)
-    for i, item in enumerate(uncovered):
-        rows[i, list(item.columns)] = item.symbols
-    return _fill_flexible(rows, p.v, rng)
-
-
-def _compatible(row, cols, syms) -> bool:
-    cells = row[list(cols)]
-    return bool(np.all((cells == FLEXIBLE) | (cells == np.asarray(syms))))
+    return _fill_flexible(_item_rows(uncovered, p), p.v, rng)
 
 
 def greedy_cover(uncovered, p: Parameters, group: GroupKind,
                  rng: np.random.Generator) -> np.ndarray:
     """Online first-fit: place each item in the first row that can still
     cover it, committing an orbit representative at placement time."""
-    rows: list = []
-    for item in uncovered:
+    items = _item_rows(uncovered, p)
+    rows = np.full_like(items, FLEXIBLE)
+    n = 0
+    for item, item_row in zip(uncovered, items):
+        cols = list(item.columns)
         members = _orbit_members(item, p, group)
-        placed = False
-        for row in rows:
-            for syms in members:
-                if _compatible(row, item.columns, syms):
-                    row[list(item.columns)] = syms
-                    placed = True
-                    break
-            if placed:
-                break
-        if not placed:
-            row = np.full(p.k, FLEXIBLE, dtype=np.int64)
-            row[list(item.columns)] = item.symbols
-            rows.append(row)
-    if not rows:
-        return np.empty((0, p.k), dtype=np.int64)
-    return _fill_flexible(np.stack(rows), p.v, rng)
+        fits = _agree(rows[:n, None, cols], members)  # (row, member)
+        placed = np.flatnonzero(fits.any(axis=1))
+        if len(placed):
+            rows[placed[0], cols] = members[fits[placed[0]].argmax()]
+        else:
+            rows[n] = item_row
+            n += 1
+    return _fill_flexible(rows[:n], p.v, rng)
 
 
 @dataclass
@@ -90,35 +101,24 @@ class IncompatibilityGraph:
     m_edges: int = 0
 
 
-def _conflicts(a: Interaction, cols, syms) -> bool:
-    assignment = dict(zip(a.columns, a.symbols))
-    for c, s in zip(cols, syms):
-        if c in assignment and assignment[c] != s:
-            return True
-    return False
-
-
 def build_incompat_graph(uncovered, p: Parameters,
                          group: GroupKind) -> IncompatibilityGraph:
     """Commit each arriving item to the representative with fewest conflicts
     against the already-committed vertices, then record the conflict edges."""
+    committed = _item_rows(uncovered, p)
     g = IncompatibilityGraph()
-    for item in uncovered:
+    for i, item in enumerate(uncovered):
+        cols = list(item.columns)
         members = _orbit_members(item, p, group)
-        best_syms, best_edges = None, None
-        for syms in members:
-            edges = [
-                j for j, other in enumerate(g.vertices)
-                if _conflicts(other, item.columns, syms)
-            ]
-            if best_edges is None or len(edges) < len(best_edges):
-                best_syms, best_edges = syms, edges
-        i = len(g.vertices)
-        g.vertices.append(Interaction(item.columns, tuple(best_syms)))
-        g.adjacency.append(sorted(best_edges))
-        for j in best_edges:
+        clash = ~_agree(committed[:i, None, cols], members)  # (vertex, member)
+        best = int(clash.sum(axis=0).argmin())
+        committed[i, cols] = members[best]
+        edges = np.flatnonzero(clash[:, best]).tolist()
+        g.vertices.append(Interaction(item.columns, tuple(members[best].tolist())))
+        g.adjacency.append(edges)
+        for j in edges:
             g.adjacency[j].append(i)
-        g.m_edges += len(best_edges)
+        g.m_edges += len(edges)
     return g
 
 
@@ -146,27 +146,22 @@ def color_cover(g: IncompatibilityGraph, p: Parameters, group: GroupKind,
                 rng: np.random.Generator):
     """Greedy-color in smallest-last order and merge each color class into
     one row.  Returns (rows, colors_used, degeneracy)."""
-    n = len(g.vertices)
-    if n == 0:
-        return np.empty((0, p.k), dtype=np.int64), 0, 0
     order, degeneracy = smallest_last_order(g)
-    color = [-1] * n
-    for u in order:
-        taken = {color[w] for w in g.adjacency[u] if color[w] >= 0}
-        c = 0
-        while c in taken:
-            c += 1
-        color[u] = c
-    n_colors = max(color) + 1
+    color = np.full(len(g.vertices), -1, dtype=np.int64)
+    for u in order:  # the least color no neighbour holds
+        taken = set(color[g.adjacency[u]].tolist())
+        color[u] = min(set(range(len(taken) + 1)) - taken)
+    n_colors = int(color.max(initial=-1)) + 1
+    items = _item_rows(g.vertices, p)
+    # A fixed symbol outranks FLEXIBLE, so the maximum merges a class; the
+    # class fits one row exactly when every member agrees with the merge.
     rows = np.full((n_colors, p.k), FLEXIBLE, dtype=np.int64)
-    for u, c in enumerate(color):
-        item = g.vertices[u]
-        for col, sym in zip(item.columns, item.symbols):
-            if rows[c, col] not in (FLEXIBLE, sym):
-                raise InconsistentClass(
-                    f"color class {c} fixes column {col} to two symbols"
-                )
-            rows[c, col] = sym
+    np.maximum.at(rows, color, items)
+    clash = ~_agree(items, rows[color])
+    if clash.any():
+        raise InconsistentClass(
+            f"color class {color[clash.argmax()]} fixes a column to two symbols"
+        )
     return _fill_flexible(rows, p.v, rng), n_colors, degeneracy
 
 
@@ -178,49 +173,33 @@ def density_cover(uncovered, p: Parameters, group: GroupKind) -> np.ndarray:
     completion would cover; ties go to the lowest column, then symbol.  Every
     row is guaranteed to retire at least ceil(u / v^t) items.
     """
-    vt = p.v**p.t
-    alive = [(item.columns, item.symbols) for item in uncovered]
+    items = _item_rows(uncovered, p)
+    # weight[j] = v^-j, the chance that j unfixed cells all come out right.
+    weight = np.array([p.v**-j for j in range(p.t + 1)])
     out = []
-    while alive:
-        u = len(alive)
+    while len(items):
         row = np.full(p.k, FLEXIBLE, dtype=np.int64)
-        # Per-item state: columns still unfixed in the row, conflict flag.
-        unfixed = [len(cols) for cols, _ in alive]
-        dead = [False] * u
         for _ in range(p.k):
             open_cols = np.flatnonzero(row == FLEXIBLE)
-            best = None
-            for c in open_cols:
-                base = sum(
-                    p.v ** -unfixed[i]
-                    for i, (cols, _) in enumerate(alive)
-                    if not dead[i] and c not in cols
-                )
-                gain = [0.0] * p.v
-                for i, (cols, syms) in enumerate(alive):
-                    if dead[i] or c not in cols:
-                        continue
-                    gain[syms[cols.index(c)]] += p.v ** -(unfixed[i] - 1)
-                for s in range(p.v):
-                    score = base + gain[s]
-                    if best is None or score > best[0] + 1e-12:
-                        best = (score, int(c), s)
-            _, c, s = best
-            row[c] = s
-            for i, (cols, syms) in enumerate(alive):
-                if dead[i] or c not in cols:
-                    continue
-                if syms[cols.index(c)] == s:
-                    unfixed[i] -= 1
-                else:
-                    dead[i] = True
-        covered = [i for i in range(u) if not dead[i] and unfixed[i] == 0]
-        if len(covered) < -(-u // vt):
-            raise GuaranteeViolated(
-                f"row covered {len(covered)} items, needed {-(-u // vt)} of {u}"
-            )
-        alive = [item for i, item in enumerate(alive) if i not in set(covered)]
+            cells = items[:, open_cols]
+            unfixed = (cells != FLEXIBLE).sum(axis=1)
+            live = _agree(items, row)[:, None]
+            base = np.where(live & (cells == FLEXIBLE), weight[unfixed][:, None], 0.0)
+            gain = np.where(live[..., None] & (cells[..., None] == np.arange(p.v)),
+                            weight[unfixed - 1][:, None, None], 0.0)
+            # Sums run in item order, as Python's sum adds; a pairwise
+            # reduction rounds differently and can flip the 1e-12 tie rule.
+            score = (np.cumsum(base, axis=0)[-1][:, None]
+                     + np.cumsum(gain, axis=0)[-1]).ravel().tolist()
+            best = 0
+            for i, s in enumerate(score):
+                if s > score[best] + 1e-12:
+                    best = i
+            row[open_cols[best // p.v]] = best % p.v
+        covered = _agree(items, row)
+        if covered.sum() < -(-len(items) // p.v**p.t):
+            raise GuaranteeViolated(f"row covered {covered.sum()} of {len(items)} "
+                                    "items, fewer than ceil(u / v^t)")
+        items = items[~covered]
         out.append(row)
-    if not out:
-        return np.empty((0, p.k), dtype=np.int64)
-    return np.stack(out)
+    return np.array(out, dtype=np.int64).reshape(-1, p.k)

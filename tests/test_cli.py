@@ -245,6 +245,8 @@ class TestExitCodes:
         (EXIT_OK, ["construct", "--t", "2", "--k", "4", "--v", "2", "--verify"],
          None, ""),
         (EXIT_NOT_COVERING, ["verify", "--in", "{bad}"], None, ""),
+        (EXIT_USAGE, ["verify", "--in", "{huge}"], None, "too large"),
+        (EXIT_USAGE, ["verify", "--in", "{wide}"], None, "dimension"),
         (EXIT_USAGE, ["construct", "--t", "2", "--k", "4", "--v", "2",
                       "--seed", "-1"], None, "seed must be nonnegative"),
         (EXIT_USAGE, ["construct", "--t", "2", "--k", "4", "--v", "2",
@@ -258,12 +260,16 @@ class TestExitCodes:
         (EXIT_VERIFY, ["construct", "--t", "2", "--k", "4", "--v", "2", "--verify"],
          (pipeline, "verify_covering_array", lambda array, p: False),
          "verification failed"),
-    ], ids=["ok", "not-covering", "usage", "r-mult-nan", "r-mult-inf",
-            "r-mult-1e308", "construction", "verify"])
+    ], ids=["ok", "not-covering", "symbol-beyond-int64", "k-beyond-int64", "usage",
+            "r-mult-nan", "r-mult-inf", "r-mult-1e308", "construction", "verify"])
     def test_reachable(self, tmp_path, monkeypatch, capsys, code, argv, patch, err):
-        bad = tmp_path / "bad.txt"
-        bad.write_text("CA 2 3 2 2\n0 0 0\n1 1 1\n")
+        files = {"bad": "CA 2 3 2 2\n0 0 0\n1 1 1\n",
+                 "huge": "CA 1 2 2 2\n0 99999999999999999999\n",
+                 "wide": f"CA 0 {2**70} 2 2\n"}
+        for name, text in files.items():
+            (tmp_path / f"{name}.txt").write_text(text)
         if patch:
             monkeypatch.setattr(*patch)
-        assert main([a.format(bad=bad) for a in argv]) == code
+        paths = {name: tmp_path / f"{name}.txt" for name in files}
+        assert main([a.format(**paths) for a in argv]) == code
         assert err in capsys.readouterr().err

@@ -36,11 +36,19 @@ SHAPES = [(2, 6, 3), (3, 7, 3), (3, 8, 4), (3, 8, 5)]
 RUN_KEYS = [(*shape, s1, s2, g.value) for shape, s1, s2, g in itertools.product(
     SHAPES, STAGE1_KINDS, STAGE2_KINDS, GroupKind)]
 
+# The benchmark's cleanup shape: at r = 30*rho, 1,829 (trivial), 395 (cyclic)
+# and 102 (Frobenius) items reach stage 2, where the shapes above leave at
+# most ~120.
+CLEANUP_R = 30.0
+CLEANUP_KEYS = [(3, 12, 4, "rand", s2, g.value)
+                for s2, g in itertools.product(STAGE2_KINDS, GroupKind)]
 
-def run_values(key):
+
+def run_values(key, r_multiplier=1.0):
     t, k, v, s1, s2, group = key
     spec = RunSpec(p=Parameters(t, k, v), stage1=s1, stage2=s2,
-                   group=GroupKind(group), seed=1, verify=True)
+                   r_multiplier=r_multiplier, group=GroupKind(group), seed=1,
+                   verify=True)
     array, rep = run(spec)
     assert rep.verified is True
     return (array_digest(array),
@@ -343,6 +351,46 @@ RUNS = {
         (38, 0, 0, 765, 0), 586.6279413000601),
 }
 
+# Same fields as RUNS, for CLEANUP_KEYS at r_multiplier = CLEANUP_R.
+CLEANUP_RUNS = {
+    (3, 12, 4, 'rand', 'naive', 'trivial'): (
+        '37e94918a65778de00cb4e038a920a4963a57e4fc2865c18c5226578cde0a572',
+        (128, 1829, 1829, 1957, 1), 406.48630228713046),
+    (3, 12, 4, 'rand', 'naive', 'cyclic'): (
+        '8ce6b64ea01599602be6fdd7866c779f0cd4e3630b2f1eab0ba4ab3e1088f687',
+        (32, 395, 395, 1708, 1), 398.25661628562136),
+    (3, 12, 4, 'rand', 'naive', 'frobenius'): (
+        '600436131dff30c0e21e917366c9d9a473aae271bab4eb0b52af40f94e20719d',
+        (10, 102, 102, 1348, 1), 375.67015638184427),
+    (3, 12, 4, 'rand', 'greedy', 'trivial'): (
+        '52be8b0b32c822abc5bf5d2f2fd5a37d03f428647c14524ed48cf951cb1f99fe',
+        (128, 1829, 99, 227, 1), 406.48630228713046),
+    (3, 12, 4, 'rand', 'greedy', 'cyclic'): (
+        'b65deacfa02167a815c0b160a523bfc6339eeb907256b003fd8274e9524332d1',
+        (32, 395, 25, 228, 1), 398.25661628562136),
+    (3, 12, 4, 'rand', 'greedy', 'frobenius'): (
+        'f08c97bcea687ffc0ef6822c0801b6c8d9b800016ff34c2ba186947e6ee7b27c',
+        (10, 102, 6, 196, 1), 375.67015638184427),
+    (3, 12, 4, 'rand', 'col', 'trivial'): (
+        'd6b9af6d48cd8cbe122f27fd8ef72e1c5162d94f84b87c523ea035ace579afa4',
+        (128, 1829, 98, 226, 1), 406.48630228713046),
+    (3, 12, 4, 'rand', 'col', 'cyclic'): (
+        '1af21ebab9dc5790924546aa93e93fd5ddaafb7c2623e96bd675160a9251e12a',
+        (32, 395, 30, 248, 1), 398.25661628562136),
+    (3, 12, 4, 'rand', 'col', 'frobenius'): (
+        'f816dd215bcdc4d0260f579540944a826ed712228ab17139d5407794867c1d53',
+        (10, 102, 9, 232, 1), 375.67015638184427),
+    (3, 12, 4, 'rand', 'den', 'trivial'): (
+        'a2a625722cb16e58c243dc882e26d7ce8628d53184e3b1ba0106ea1af625f3e5',
+        (128, 1829, 71, 199, 1), 406.48630228713046),
+    (3, 12, 4, 'rand', 'den', 'cyclic'): (
+        'c0623aed1bbe589126dd503d30b2dc45a947ad4fd0116e45b2549f3b441af533',
+        (32, 395, 26, 232, 1), 398.25661628562136),
+    (3, 12, 4, 'rand', 'den', 'frobenius'): (
+        '6a4c3dca4874c3ff0664326223e4fa0825782a0bedb6b5e4377e692d94847396',
+        (10, 102, 12, 268, 1), 375.67015638184427),
+}
+
 BOUND_REPORTS = {
     (2, 4, 2): '463ee60d8bbea3b717d8fe49c25915de375c99c69a9ad13002d9d580249b9249',
     (2, 10, 3): '5258b3ee3c04c60b0e59116764115a80cdcaabf1ef5bb117c8a077186bfaf9b4',
@@ -359,17 +407,28 @@ def test_run_digest(key):
     assert run_values(key) == RUNS[key]
 
 
+@pytest.mark.parametrize("key", CLEANUP_KEYS, ids=lambda key: "-".join(map(str, key)))
+def test_cleanup_digest(key):
+    assert run_values(key, CLEANUP_R) == CLEANUP_RUNS[key]
+
+
 @pytest.mark.parametrize("triple", list(BOUND_REPORTS), ids=str)
 def test_bound_report_digest(triple):
     assert report_digest(bound_report(Parameters(*triple))) == BOUND_REPORTS[triple]
 
 
-def print_literals():
-    print("RUNS = {")
-    for key in RUN_KEYS:
-        digest, ints, bound = run_values(key)
+def print_runs(name, keys, r_multiplier=1.0):
+    print(f"{name} = {{")
+    for key in keys:
+        digest, ints, bound = run_values(key, r_multiplier)
         print(f"    {key!r}: (\n        {digest!r},\n        {ints!r}, {float(bound)!r}),")
-    print("}\n\nBOUND_REPORTS = {")
+    print("}\n")
+
+
+def print_literals():
+    print_runs("RUNS", RUN_KEYS)
+    print_runs("CLEANUP_RUNS", CLEANUP_KEYS, CLEANUP_R)
+    print("BOUND_REPORTS = {")
     for triple in BOUND_REPORTS:
         print(f"    {triple!r}: {report_digest(bound_report(Parameters(*triple)))!r},")
     print("}")

@@ -227,3 +227,41 @@ class TestDensityCover:
     def test_empty_input(self):
         rows = density_cover([], Parameters(2, 4, 2), GroupKind.TRIVIAL)
         assert rows.shape == (0, 4)
+
+
+class TestInputChecks:
+    """Every stage-2 entry rejects items it cannot cover as given."""
+
+    @pytest.mark.parametrize("cover", ["greedy", "graph"])
+    def test_short_orbit_item_rejected(self, rng, cover):
+        # Under Frobenius the constant tuple (1, 1) lies in a short orbit; it
+        # must not be committed to a member of another item's orbit.
+        from caforge import Interaction
+        p = Parameters(2, 3, 3)
+        items = [Interaction((0, 1), (0, 1)), Interaction((0, 1), (1, 1))]
+        with pytest.raises(ValueError, match="short orbit"):
+            if cover == "greedy":
+                greedy_cover(items, p, GroupKind.FROBENIUS, rng)
+            else:
+                build_incompat_graph(items, p, GroupKind.FROBENIUS)
+
+    @pytest.mark.parametrize("columns, symbols", [
+        ((2, 3), (-1, 0)), ((2, 3), (3, 0)), ((-1, 2), (0, 0)), ((3, 4), (0, 0)),
+    ], ids=["symbol-negative", "symbol-v", "column-negative", "column-k"])
+    @pytest.mark.parametrize("cover", ["naive", "greedy", "graph", "col", "den"])
+    def test_item_out_of_range(self, rng, cover, columns, symbols):
+        from caforge import IncompatibilityGraph, Interaction
+        p, group = Parameters(2, 4, 3), GroupKind.TRIVIAL
+        items = [Interaction((0, 1), (0, 1)), Interaction(columns, symbols)]
+        with pytest.raises(ValueError, match="out of range"):
+            if cover == "naive":
+                naive_cover(items, p, group, rng)
+            elif cover == "greedy":
+                greedy_cover(items, p, group, rng)
+            elif cover == "graph":
+                build_incompat_graph(items, p, group)
+            elif cover == "col":
+                graph = IncompatibilityGraph(vertices=items, adjacency=[[], []])
+                color_cover(graph, p, group, rng)
+            else:
+                density_cover(items, p, group)
