@@ -17,22 +17,12 @@ from .bounds import (
     two_stage_bound,
 )
 from .coverage import uncovered_list, verify_covering_array
-from .groups import FiniteField, GroupKind, canonicalize, develop, orbit_count
-from .model import (
-    FLEXIBLE,
-    CoverageReport,
-    DerivedConstants,
-    Interaction,
-    Parameters,
-    binomial,
-    interaction_count,
-)
+from .groups import GroupKind, develop, orbit_count
+from .model import FLEXIBLE, CoverageReport, Interaction, Parameters
 from .pipeline import RunReport, RunSpec, benchmark, run
 from .stage1 import (
     IterationCapExceeded,
     RetriesExhausted,
-    Stage1Config,
-    TupleSubset,
     mt_construct,
     mt_first_stage,
     mt_row_count,

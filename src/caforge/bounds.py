@@ -16,7 +16,9 @@ import numpy as np
 from mpmath import mp, mpf
 
 from .groups import GroupKind, orbit_count, prime_power
-from .model import DerivedConstants, Parameters, binomial
+from .model import Parameters
+
+mp.dps = 40
 
 
 def _log_ratio(num: int, den: int):
@@ -31,10 +33,15 @@ def _orbit_log_base(p: Parameters, group: GroupKind):
     return _log_ratio(vt, vt - order)
 
 
+def _dep_degree(p: Parameters) -> int:
+    """Column t-sets sharing at least one column with a fixed t-set."""
+    return math.comb(p.k, p.t) - math.comb(p.k - p.t, p.t)
+
+
 def slj_bound(p: Parameters) -> float:
     """Single-stage randomized existence bound."""
     vt = p.v**p.t
-    num = mp.log(binomial(p.k, p.t)) + p.t * mp.log(p.v)
+    num = mp.log(math.comb(p.k, p.t)) + p.t * mp.log(p.v)
     return float(num / _log_ratio(vt, vt - 1))
 
 
@@ -45,7 +52,7 @@ def discrete_slj_bound(p: Parameters) -> int:
     is involved.
     """
     vt = p.v**p.t
-    u = binomial(p.k, p.t) * vt
+    u = math.comb(p.k, p.t) * vt
     n = 0
     while u > 0:
         u -= -(-u // vt)
@@ -60,7 +67,7 @@ def two_stage_bound(p: Parameters, group: GroupKind = GroupKind.TRIVIAL) -> floa
     per-row miss base of one full orbit."""
     order, full, constant_rows = group.shape(p.t, p.v)
     L = _orbit_log_base(p, group)
-    num = mp.log(binomial(p.k, p.t)) + mp.log(full) + mp.log(L) + 1
+    num = mp.log(math.comb(p.k, p.t)) + mp.log(full) + mp.log(L) + 1
     return float(order * num / L + constant_rows)
 
 
@@ -82,11 +89,7 @@ def gss_bound(p: Parameters) -> float:
     if p.k < 2 * p.t:
         raise ValueError("gss_bound requires k >= 2t")
     vt = p.v**p.t
-    num = (
-        mp.log(binomial(p.k, p.t) - binomial(p.k - p.t, p.t))
-        + p.t * mp.log(p.v)
-        + 1
-    )
+    num = mp.log(_dep_degree(p)) + p.t * mp.log(p.v) + 1
     return float(num / _log_ratio(vt, vt - 1))
 
 
@@ -103,7 +106,7 @@ def frobenius_two_stage_bound(p: Parameters) -> float:
 def _conflict_pairs(p: Parameters, i: int) -> int:
     """Interactions that conflict with one fixed interaction and share
     exactly i of its t columns."""
-    return binomial(p.t, i) * binomial(p.k - p.t, p.t - i) * (
+    return math.comb(p.t, i) * math.comb(p.k - p.t, p.t - i) * (
         p.v**p.t - p.v ** (p.t - i))
 
 
@@ -120,7 +123,7 @@ def expected_incompat_edges(p: Parameters, n: int) -> float:
         raise ValueError("n must be nonnegative")
     vt = p.v**p.t
     pairs = sum(_conflict_pairs(p, i) for i in range(1, p.t + 1))
-    return 0.5 * binomial(p.k, p.t) * vt * pairs * (1 - 2 / vt) ** n
+    return 0.5 * math.comb(p.k, p.t) * vt * pairs * (1 - 2 / vt) ** n
 
 
 def chromatic_estimate(m_edges: float) -> float:
@@ -151,7 +154,7 @@ def coloring_two_stage_estimate(p: Parameters, mode: str = "conservative") -> fl
         pairs = _conflict_pairs(p, i)
         log_decay = math.log1p(-1 / vt) + math.log1p(-1 / (vt - v ** (t - i)))
         gamma += pairs * np.exp(n * log_decay)
-    gamma *= 0.5 * binomial(k, t) * vt
+    gamma *= 0.5 * math.comb(k, t) * vt
     return float(np.min(n + 0.5 + np.sqrt(2 * c * gamma + 0.25)))
 
 
@@ -164,13 +167,12 @@ def lll_first_stage_n(p: Parameters):
     """
     if p.k < 2 * p.t:
         raise ValueError("lll_first_stage_n requires k >= 2t")
-    d = DerivedConstants.of(p)
-    vt = d.vt
+    vt, eta, dep = p.v**p.t, math.comb(p.k, p.t), _dep_degree(p)
     L = math.log(vt / (vt - 1))
     best = (math.inf, 0)
     for m in range(1, vt + 1):
-        n1 = math.log(math.e * d.dep_degree * m) / L
-        n2 = math.log(d.eta * math.e * (1 - m / vt)) / L if m < vt else -math.inf
+        n1 = math.log(math.e * dep * m) / L
+        n2 = math.log(eta * math.e * (1 - m / vt)) / L if m < vt else -math.inf
         n = max(n1, n2)
         if n < best[0]:
             best = (n, m)
@@ -182,17 +184,16 @@ def lll_two_stage_bound(p: Parameters) -> float:
     size does not exceed v^t."""
     if p.k < 2 * p.t:
         raise ValueError("lll_two_stage_bound requires k >= 2t")
-    d = DerivedConstants.of(p)
-    vt = d.vt
+    vt, eta, dep = p.v**p.t, math.comb(p.k, p.t), _dep_degree(p)
     L = _log_ratio(vt, vt - 1)
-    m_opt = mpf(d.eta) * vt * L / d.dep_degree
+    m_opt = mpf(eta) * vt * L / dep
     if m_opt > vt:
         raise ValueError(
             f"side condition failed: optimal tuple-subset size {float(m_opt):.1f} "
             f"exceeds v^t = {vt}"
         )
-    num = mp.log(d.eta) + p.t * mp.log(p.v) + mp.log(L) + 2
-    return float(num / L - mpf(d.eta) / d.dep_degree)
+    num = mp.log(eta) + p.t * mp.log(p.v) + mp.log(L) + 2
+    return float(num / L - mpf(eta) / dep)
 
 
 @dataclass

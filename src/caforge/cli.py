@@ -42,6 +42,19 @@ class ArrayFileError(Exception):
     pass
 
 
+def _decimal(token: str) -> int:
+    """Read ASCII decimal digits only; ``int`` alone also takes '+1', '1_0'
+    and other scripts' digits."""
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"not a decimal integer: {token!r}")
+    return int(token)
+
+
+def _usage_error(exc) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def serialize_array(array, p: Parameters) -> str:
     array = np.asarray(array)
     lines = [f"CA {array.shape[0]} {p.k} {p.t} {p.v}"]
@@ -59,7 +72,7 @@ def parse_array_file(text: str):
     if len(head) != 5 or head[0] != "CA":
         raise ArrayFileError(f"bad header: {lines[0]!r}")
     try:
-        n, k, t, v = (int(x) for x in head[1:])
+        n, k, t, v = (_decimal(x) for x in head[1:])
         p = Parameters(t=t, k=k, v=v)
     except ValueError as exc:
         raise ArrayFileError(str(exc)) from exc
@@ -71,14 +84,14 @@ def parse_array_file(text: str):
     if len(body) != n:
         raise ArrayFileError(f"expected {n} data rows, found {len(body)}")
     try:
-        array = np.array([[int(x) for x in row] for row in body], dtype=np.int64)
+        array = np.array([[_decimal(x) for x in row] for row in body], dtype=np.int64)
         if n == 0:
             array = array.reshape(0, k)
     except (ValueError, OverflowError) as exc:  # OverflowError: beyond int64
         raise ArrayFileError(str(exc)) from exc
     if n and array.shape != (n, k):
         raise ArrayFileError("row length does not match header k")
-    if n and (array.min() < 0 or array.max() >= v):
+    if n and array.max() >= v:
         raise ArrayFileError("symbol out of range")
     return array, p
 
@@ -96,8 +109,7 @@ def cmd_construct(args) -> int:
             seed=args.seed, verify=args.verify,
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(exc)
     try:
         array, rep = run(spec)
     except (RetriesExhausted, IterationCapExceeded) as exc:
@@ -106,32 +118,30 @@ def cmd_construct(args) -> int:
     except VerificationFailed as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(serialize_array(array, p))
-    if args.report:
-        with open(args.report, "w") as fh:
-            json.dump({"schema": REPORT_SCHEMA, **asdict(rep)}, fh, indent=2)
-            fh.write("\n")
+    try:
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(serialize_array(array, p))
+        if args.report:
+            with open(args.report, "w") as fh:
+                json.dump({"schema": REPORT_SCHEMA, **asdict(rep)}, fh, indent=2)
+                fh.write("\n")
+    except OSError as exc:
+        return _usage_error(exc)
     print(f"N={rep.N_final} (stage1 {rep.n_stage1}, stage2 {rep.rows_stage2}, "
           f"bound {rep.bound_predicted:.1f})")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    try:
+    try:  # a file the locale encoding cannot decode raises a ValueError
         with open(args.infile) as fh:
             array, p = parse_array_file(fh.read())
-    except (OSError, ArrayFileError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
         p = Parameters(t=p.t if args.t is None else args.t, k=p.k,
                        v=p.v if args.v is None else args.v)
         found = uncovered_list(array, p, cap=0)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except (OSError, ValueError, ArrayFileError) as exc:
+        return _usage_error(exc)
     if not found.uncovered:
         print("covering array: OK")
         return EXIT_OK
@@ -148,8 +158,7 @@ def cmd_bounds(args) -> int:
             raise ValueError("k-max must be >= k")
         params = [Parameters(t=args.t, k=k, v=args.v) for k in range(args.k, k_max + 1)]
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(exc)
     rows = [_bound_row(p) for p in params]
     if args.format == "json":
         json.dump(rows, sys.stdout, indent=2)
@@ -157,8 +166,7 @@ def cmd_bounds(args) -> int:
     else:
         writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0]))
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
     return EXIT_OK
 
 
@@ -167,14 +175,15 @@ def _grid_spec(fields: dict) -> RunSpec:
     unknown = set(fields) - known
     if unknown:
         raise ValueError(f"unknown grid keys: {sorted(unknown)}")
-    p = Parameters(t=int(fields["t"]), k=int(fields["k"]), v=int(fields["v"]))
+    p = Parameters(t=_decimal(fields["t"]), k=_decimal(fields["k"]),
+                   v=_decimal(fields["v"]))
     return RunSpec(
         p=p,
         stage1=fields.get("stage1", "rand"),
         stage2=fields.get("stage2", "naive"),
         r_multiplier=float(fields.get("r_mult", 1.0)),
         group=GroupKind(fields.get("group", "trivial")),
-        seed=int(fields.get("seed", 0)),
+        seed=_decimal(fields.get("seed", "0")),
         verify=fields.get("verify", "false").lower() in ("1", "true", "yes"),
     )
 
@@ -212,11 +221,13 @@ def cmd_benchmark(args) -> int:
         print(f"error: malformed grid: {exc}", file=sys.stderr)
         return EXIT_USAGE
     rows = benchmark(grid)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_HEADER)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+    try:
+        with open(args.out, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=CSV_HEADER)
+            writer.writeheader()
+            writer.writerows(rows)
+    except OSError as exc:
+        return _usage_error(exc)
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
 

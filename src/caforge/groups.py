@@ -1,7 +1,7 @@
 """Symbol-group actions: trivial, cyclic shift, and Frobenius (affine maps).
 
-A group is its table of symbol maps, ``symbol_maps``; orbit tables, canonical
-forms and ``develop`` derive from it.  The cyclic group acts by addition mod v,
+A group is its table of symbol maps, ``symbol_maps``; orbit tables and
+``develop`` derive from it.  The cyclic group acts by addition mod v,
 even when v is a prime power; the Frobenius group x -> a*x + b (a != 0) acts
 through finite-field arithmetic and so requires a prime-power v.
 """
@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from functools import lru_cache
 
 import numpy as np
 
-from .model import Parameters, binomial
+from .model import Parameters
 
 # Fixed irreducible polynomials for the small extension fields, written as
 # coefficient lists [c0, c1, ..., 1] of c0 + c1*x + ... + x^e.  Any monic
@@ -68,103 +69,38 @@ def prime_power(v: int):
     return (v, 1)
 
 
-class FiniteField:
-    """GF(p^e) with full add/mul lookup tables.
-
-    Symbols are coefficient ranks: symbol s represents the polynomial
-    sum_i c_i x^i where (c_0, c_1, ...) are the base-p digits of s.
-    """
-
-    def __init__(self, v: int):
-        pe = prime_power(v)
-        if pe is None:
-            raise ValueError(f"{v} is not a prime power")
-        self.v = v
-        self.p, self.e = pe
-        if self.e > 1:
-            self.modulus = _IRREDUCIBLE.get(v) or _find_irreducible(self.p, self.e)
-        else:
-            self.modulus = None
-        self.add = np.zeros((v, v), dtype=np.int64)
-        self.mul = np.zeros((v, v), dtype=np.int64)
-        for a in range(v):
-            for b in range(v):
-                self.add[a, b] = self._add(a, b)
-                self.mul[a, b] = self._mul(a, b)
-
-    def _digits(self, s: int) -> list:
-        d = []
-        for _ in range(self.e):
-            d.append(s % self.p)
-            s //= self.p
-        return d
-
-    def _rank(self, digits) -> int:
-        s = 0
-        for c in reversed(digits):
-            s = s * self.p + c
-        return s
-
-    def _add(self, a: int, b: int) -> int:
-        da, db = self._digits(a), self._digits(b)
-        return self._rank([(x + y) % self.p for x, y in zip(da, db)])
-
-    def _mul(self, a: int, b: int) -> int:
-        # Polynomial product reduced by the fixed irreducible modulus.
-        da, db = self._digits(a), self._digits(b)
-        prod = [0] * (2 * self.e - 1)
-        for i, x in enumerate(da):
-            for j, y in enumerate(db):
-                prod[i + j] = (prod[i + j] + x * y) % self.p
-        if self.e == 1:
-            return prod[0]
-        modulus = self.modulus
-        for i in range(len(prod) - 1, self.e - 1, -1):
-            c = prod[i]
-            if c:
-                for j, m in enumerate(modulus[:-1]):
-                    prod[i - self.e + j] = (prod[i - self.e + j] - c * m) % self.p
-                prod[i] = 0
-        return self._rank(prod[: self.e])
-
-    def affine(self, a: int, b: int, x):
-        """Apply x -> a*x + b elementwise (x may be an array of symbols)."""
-        return self.add[self.mul[a, x], b]
-
-
-def _find_irreducible(p: int, e: int) -> list:
-    # Deterministic fallback: lowest-rank monic irreducible of degree e.
-    def reducible(poly):
-        # poly irreducible iff it has no root-free factorization; brute force
-        # over monic divisors of degree 1..e//2.
-        for d in range(1, e // 2 + 1):
-            for cand in itertools.product(range(p), repeat=d):
-                div = list(cand) + [1]
-                if _poly_divides(div, poly, p):
-                    return True
-        return False
-
-    for tail in itertools.product(range(p), repeat=e):
-        poly = list(tail) + [1]
-        if not reducible(poly):
-            return poly
-    raise RuntimeError("no irreducible polynomial found")
-
-
-def _poly_divides(div, poly, p):
-    rem = list(poly)
-    dd = len(div) - 1
-    for i in range(len(rem) - 1, dd - 1, -1):
-        c = rem[i]
-        if c:
-            for j in range(dd + 1):
-                rem[i - dd + j] = (rem[i - dd + j] - c * div[j]) % p
-    return not any(rem[:dd])
+def _mul(p: int, e: int, modulus, a, b):
+    """Product in GF(p^e) of the symbol arrays a and b: symbol s stands for
+    the polynomial whose coefficients are the base-p digits of s, and the
+    product is reduced by the monic ``modulus`` [c0, ..., c_(e-1), 1]."""
+    da = [a // p**i % p for i in range(e)]
+    db = [b // p**i % p for i in range(e)]
+    prod = [0] * (2 * e - 1)
+    for i, j in itertools.product(range(e), repeat=2):
+        prod[i + j] += da[i] * db[j]
+    for i in range(2 * e - 2, e - 1, -1):
+        for j in range(e):
+            prod[i - e + j] -= prod[i] % p * modulus[j]
+    return sum(prod[i] % p * p**i for i in range(e))
 
 
 @lru_cache(maxsize=None)
-def field_for(v: int) -> FiniteField:
-    return FiniteField(v)
+def field_for(v: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (add, mul) lookup tables of GF(v), as v x v int64 arrays."""
+    pe = prime_power(v)
+    if pe is None:
+        raise ValueError(f"{v} is not a prime power")
+    p, e = pe
+    x = np.arange(v, dtype=np.int64)
+    # Off the table, the first monic modulus in lexicographic order of
+    # (c0, ..., c_(e-1)) with no zero divisor of degree <= e/2, that is, the
+    # first irreducible one.
+    low = x[1 : p ** (e // 2 + 1), None]
+    modulus = _IRREDUCIBLE.get(v) or next(
+        [*tail, 1] for tail in itertools.product(range(p), repeat=e)
+        if _mul(p, e, [*tail, 1], low, x[1:]).all())
+    add = sum((x[:, None] // p**i + x // p**i) % p * p**i for i in range(e))
+    return add, _mul(p, e, modulus, x[:, None], x)
 
 
 def symbol_maps(group: GroupKind, v: int) -> np.ndarray:
@@ -178,22 +114,8 @@ def symbol_maps(group: GroupKind, v: int) -> np.ndarray:
         return x[None, :]
     if group is GroupKind.CYCLIC:
         return (x[None, :] + x[:, None]) % v
-    f = field_for(v)
-    return np.array([f.affine(a, b, x) for a in range(1, v) for b in range(v)])
-
-
-def canonicalize(group: GroupKind, symbols: tuple, v: int):
-    """Map a symbol tuple to its orbit's canonical representative.
-
-    Returns (canonical, is_short).  The canonical form is the orbit's
-    least-rank member; short orbits (constant tuples) occur only under
-    Frobenius and map to the all-zero tuple.
-    """
-    table = orbit_table(len(symbols), v, group)
-    orbit = int(table.orbit_of[int(np.dot(symbols, table.radix))])
-    if orbit < 0:
-        return (0,) * len(symbols), True
-    return table.rep_symbols(orbit), False
+    add, mul = field_for(v)
+    return add[mul[1:, None, :], x[:, None]].reshape(-1, v)
 
 
 def orbit_count(p: Parameters, group: GroupKind):
@@ -202,7 +124,7 @@ def orbit_count(p: Parameters, group: GroupKind):
     Short orbits (Frobenius constant tuples) are covered for free by the
     appended constant rows, so only full orbits need first-stage coverage.
     """
-    eta = binomial(p.k, p.t)
+    eta = math.comb(p.k, p.t)
     _, full, constant_rows = group.shape(p.t, p.v)
     return eta * full, eta if constant_rows else 0
 

@@ -6,24 +6,10 @@ array in which flexible (not yet fixed) cells hold the sentinel ``FLEXIBLE``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-
-from mpmath import mp, mpf
-
-mp.dps = 40
 
 #: Cell value marking a not-yet-fixed entry of a partial array.
 FLEXIBLE = -1
-
-
-def binomial(n: int, r: int) -> int:
-    """Exact binomial coefficient C(n, r); 0 when r > n."""
-    if n < 0 or r < 0:
-        raise ValueError("binomial arguments must be nonnegative")
-    if r > n:
-        return 0
-    return math.comb(n, r)
 
 
 @dataclass(frozen=True)
@@ -41,35 +27,6 @@ class Parameters:
             raise ValueError("factor count k must be at least t")
         if self.v < 2:
             raise ValueError("level count v must be at least 2")
-
-
-@dataclass(frozen=True)
-class DerivedConstants:
-    """Constants derived from (t, k, v) used throughout the bound formulas.
-
-    ``rho`` is the expected number of interactions left uncovered by the
-    optimal-size random first stage, 1/ln(v^t/(v^t-1)); it always lies
-    strictly between v^t - 1 and v^t.  ``dep_degree`` counts the column
-    t-sets sharing at least one column with a fixed t-set.
-    """
-
-    vt: int
-    rho: float
-    eta: int
-    dep_degree: int
-
-    @classmethod
-    def of(cls, p: Parameters) -> "DerivedConstants":
-        vt = p.v**p.t
-        rho = float(1 / mp.log(mpf(vt) / (vt - 1)))
-        eta = binomial(p.k, p.t)
-        dep = eta - binomial(p.k - p.t, p.t)
-        return cls(vt=vt, rho=rho, eta=eta, dep_degree=dep)
-
-
-def interaction_count(p: Parameters) -> int:
-    """Total number of t-way interactions, C(k,t) * v^t."""
-    return binomial(p.k, p.t) * p.v**p.t
 
 
 @dataclass(frozen=True)

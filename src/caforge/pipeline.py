@@ -79,19 +79,14 @@ def run(spec: RunSpec):
 
     if spec.stage1 == "rand":
         n = bounds.first_stage_n(p, group, r)
-        cfg = stage1.Stage1Config(n=n, r=r, seed=spec.seed)
-        partial, report, retries = stage1.rand_first_stage(p, group, cfg)
+        partial, report, retries = stage1.rand_first_stage(p, group, n, r, seed=spec.seed)
     elif group is GroupKind.TRIVIAL:
-        n_opt, m_opt = bounds.lll_first_stage_n(p)
-        subset = stage1.TupleSubset.first(m_opt, p.t, p.v)
-        partial, report = stage1.mt_first_stage(p, subset, seed=spec.seed)
-        n = partial.shape[0]
+        partial, report = stage1.mt_first_stage(p, seed=spec.seed)
     else:
         # Under a group action the resampling construction covers every
         # orbit outright; the second stage has nothing left to do.
         partial = stage1.mt_construct(p, group, seed=spec.seed)
         report = uncovered_list(partial, p, group)
-        n = partial.shape[0]
 
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 1 << 32]))
     items = report.uncovered
@@ -115,7 +110,7 @@ def run(spec: RunSpec):
             raise VerificationFailed(f"developed array misses an interaction ({spec})")
 
     rep = RunReport(
-        n_stage1=n,
+        n_stage1=partial.shape[0],
         uncovered_after_stage1=report.uncovered_count,
         rows_stage2=extra.shape[0],
         N_final=developed.shape[0],

@@ -52,6 +52,20 @@ class TestArrayFile:
         with pytest.raises(ArrayFileError):
             parse_array_file(text)
 
+    @pytest.mark.parametrize("text", [
+        "CA 1 3 2 11\n1_0 ٣ +1\n",      # int() reads [[10, 3, 1]]
+        "CA 1 3 2 2\n0 +1 0\n",
+        "CA 1 3 2 2\n0 -0 0\n",
+        "CA 1 3 2 2\n0 １ 0\n",          # fullwidth digit
+        "CA ٢ 3 2 4\n0 0 0\n1 1 1\n",   # Arabic-Indic N
+        "CA 1 3 2 1_0\n0 0 0\n",
+        "CA +1 3 2 2\n0 0 0\n",
+    ], ids=["issue-example", "plus-symbol", "minus-zero", "fullwidth", "arabic-n",
+            "underscore-v", "plus-n"])
+    def test_non_decimal_rejected(self, text):
+        with pytest.raises(ArrayFileError):
+            parse_array_file(text)
+
 
 class TestConstructCommand:
     def test_writes_verified_array(self, tmp_path, capsys):
@@ -185,6 +199,14 @@ class TestGridParsing:
         with pytest.raises(ValueError, match="duplicate grid key 'k'"):
             parse_grid("t=2\nk=5\nv=2\nk=6\n")
 
+    @pytest.mark.parametrize("text", [
+        "t=2\nk=1_0\nv=2\n", "t=٢\nk=5\nv=2\n", "t=2\nk=5\nv=+2\n",
+        "t=2\nk=5\nv=2\nseed=1_0\n", "t=2\nk=5\nv=2\nseed=+1\n",
+    ], ids=["underscore-k", "arabic-t", "plus-v", "underscore-seed", "plus-seed"])
+    def test_non_decimal_rejected(self, text):
+        with pytest.raises(ValueError, match="not a decimal integer"):
+            parse_grid(text)
+
 
 class TestBenchmarkCommand:
     def test_writes_csv(self, tmp_path, capsys):
@@ -215,7 +237,8 @@ class TestBenchmarkCommand:
         "t=2\nk=5\nv=2\nseed=-1\n",
         "t=2\nk=5\nv=2\n\nt=2\nk=6\nk=7\nv=2\n",
         "t=2\nk=5\nv=2\nr_mult=nan\n",
-    ], ids=["negative-seed", "duplicate-key", "r-mult-nan"])
+        "t=2\nk=1_0\nv=2\n",
+    ], ids=["negative-seed", "duplicate-key", "r-mult-nan", "underscore-k"])
     def test_rejected_grid_usage_error(self, tmp_path, capsys, text):
         grid = tmp_path / "grid.txt"
         grid.write_text(text)
@@ -260,16 +283,31 @@ class TestExitCodes:
         (EXIT_VERIFY, ["construct", "--t", "2", "--k", "4", "--v", "2", "--verify"],
          (pipeline, "verify_covering_array", lambda array, p: False),
          "verification failed"),
+        (EXIT_USAGE, ["verify", "--in", "{digits}"], None, "not a decimal integer"),
+        (EXIT_USAGE, ["verify", "--in", "{utf16}"], None, "can't decode"),
+        (EXIT_USAGE, ["construct", "--t", "2", "--k", "4", "--v", "2",
+                      "--out", "{missing}"], None, "No such file or directory"),
+        (EXIT_USAGE, ["construct", "--t", "2", "--k", "4", "--v", "2",
+                      "--report", "{missing}"], None, "No such file or directory"),
+        (EXIT_USAGE, ["benchmark", "--grid", "{grid}", "--out", "{missing}"], None,
+         "No such file or directory"),
     ], ids=["ok", "not-covering", "symbol-beyond-int64", "k-beyond-int64", "usage",
-            "r-mult-nan", "r-mult-inf", "r-mult-1e308", "construction", "verify"])
+            "r-mult-nan", "r-mult-inf", "r-mult-1e308", "construction", "verify",
+            "non-decimal-symbols", "not-utf8", "out-unwritable", "report-unwritable",
+            "benchmark-out-unwritable"])
     def test_reachable(self, tmp_path, monkeypatch, capsys, code, argv, patch, err):
         files = {"bad": "CA 2 3 2 2\n0 0 0\n1 1 1\n",
                  "huge": "CA 1 2 2 2\n0 99999999999999999999\n",
-                 "wide": f"CA 0 {2**70} 2 2\n"}
+                 "wide": f"CA 0 {2**70} 2 2\n",
+                 "digits": "CA 1 3 2 11\n1_0 ٣ +1\n",
+                 "utf16": "CA 1 2 2 2\n0 0\n".encode("utf-16"),
+                 "grid": "t=2\nk=4\nv=2\n"}
         for name, text in files.items():
-            (tmp_path / f"{name}.txt").write_text(text)
+            path = tmp_path / f"{name}.txt"
+            path.write_bytes(text) if isinstance(text, bytes) else path.write_text(text)
         if patch:
             monkeypatch.setattr(*patch)
         paths = {name: tmp_path / f"{name}.txt" for name in files}
+        paths["missing"] = tmp_path / "nonexistent" / "a.txt"
         assert main([a.format(**paths) for a in argv]) == code
         assert err in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from caforge import (
     Interaction,
     Parameters,
     develop,
-    interaction_count,
     uncovered_list,
     verify_covering_array,
 )
@@ -45,7 +45,7 @@ class TestUncoveredList:
     def test_empty_array_reports_everything(self):
         p = Parameters(2, 4, 2)
         report = uncovered_list(np.zeros((0, 4), dtype=int), p)
-        assert report.uncovered_count == interaction_count(p)
+        assert report.uncovered_count == math.comb(p.k, p.t) * p.v**p.t
 
     def test_lex_order(self, rng):
         p = Parameters(2, 5, 3)

@@ -6,8 +6,9 @@ coverage scan order, the stage-2 strategies or the bound formulas changes a
 digest.  Run ``pytest tests/test_golden.py`` after every refactor; it must
 pass unedited.
 
-``PYTHONPATH=src python tests/test_golden.py`` prints the ``RUNS`` and
-``BOUND_REPORTS`` literals computed by the current ``src/``.  To pin a new
+``PYTHONPATH=src python tests/test_golden.py`` prints the ``RUNS``,
+``CLEANUP_RUNS``, ``BOUND_REPORTS`` and ``FIELD_DIGEST`` literals computed by
+the current ``src/``.  To pin a new
 shape, add it to ``SHAPES`` and paste the output recorded before the
 refactor.
 """
@@ -19,6 +20,7 @@ import numpy as np
 import pytest
 
 from caforge import BoundReport, GroupKind, Parameters, RunSpec, bound_report, run
+from caforge.groups import field_for, prime_power, symbol_maps
 from caforge.pipeline import STAGE1_KINDS, STAGE2_KINDS
 
 
@@ -42,6 +44,18 @@ RUN_KEYS = [(*shape, s1, s2, g.value) for shape, s1, s2, g in itertools.product(
 CLEANUP_R = 30.0
 CLEANUP_KEYS = [(3, 12, 4, "rand", s2, g.value)
                 for s2, g in itertools.product(STAGE2_KINDS, GroupKind)]
+
+
+def field_digest(v_max=128) -> str:
+    """One digest over the GF(v) add and mul tables and every group's symbol
+    maps, for every prime power v <= v_max.  The golden runs reach no field
+    above v=5, and none of the fields whose modulus is searched for."""
+    h = hashlib.sha256()
+    for v in filter(prime_power, range(2, v_max + 1)):
+        add, mul = field_for(v)
+        for table in (add, mul, *(symbol_maps(g, v) for g in GroupKind)):
+            h.update(array_digest(table).encode())
+    return h.hexdigest()
 
 
 def run_values(key, r_multiplier=1.0):
@@ -401,6 +415,8 @@ BOUND_REPORTS = {
     (4, 11, 6): 'd1d50ce024a88a940bb08a23cea90c7732b80e7d2a9bb7b7087fadbd952f56de',
 }
 
+FIELD_DIGEST = 'd0b1114795cc03eefdc2b28d16c4d5a2a992182ffc79c0f3a38c61eea7ef615e'
+
 
 @pytest.mark.parametrize("key", RUN_KEYS, ids=lambda key: "-".join(map(str, key)))
 def test_run_digest(key):
@@ -417,6 +433,10 @@ def test_bound_report_digest(triple):
     assert report_digest(bound_report(Parameters(*triple))) == BOUND_REPORTS[triple]
 
 
+def test_field_digest():
+    assert field_digest() == FIELD_DIGEST
+
+
 def print_runs(name, keys, r_multiplier=1.0):
     print(f"{name} = {{")
     for key in keys:
@@ -431,7 +451,8 @@ def print_literals():
     print("BOUND_REPORTS = {")
     for triple in BOUND_REPORTS:
         print(f"    {triple!r}: {report_digest(bound_report(Parameters(*triple)))!r},")
-    print("}")
+    print("}\n")
+    print(f"FIELD_DIGEST = {field_digest()!r}")
 
 
 if __name__ == "__main__":

@@ -1,59 +1,10 @@
-import itertools
+import math
 
 import pytest
-from hypothesis import given, strategies as st
 
-from caforge import DerivedConstants, Parameters, binomial, interaction_count
-
-
-def pascal(n_max):
-    rows = [[1]]
-    for n in range(1, n_max + 1):
-        prev = rows[-1]
-        rows.append(
-            [1] + [prev[i - 1] + prev[i] for i in range(1, n)] + [1]
-        )
-    return rows
-
-
-class TestBinomial:
-    def test_against_pascal_triangle(self):
-        tri = pascal(60)
-        assert binomial(54, 6) == tri[54][6] == 25827165
-
-    def test_empty_choice(self):
-        assert binomial(5, 0) == 1
-
-    def test_r_exceeds_n(self):
-        assert binomial(4, 5) == 0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            binomial(-1, 0)
-
-    @given(st.integers(0, 40), st.integers(0, 40))
-    def test_pascal_recurrence(self, n, r):
-        if n >= 1 and r >= 1:
-            assert binomial(n, r) == binomial(n - 1, r - 1) + binomial(n - 1, r)
-
-
-class TestInteractionCount:
-    def test_large_case(self):
-        assert interaction_count(Parameters(6, 54, 3)) == 18_828_003_285
-
-    def test_single_pair(self):
-        assert interaction_count(Parameters(2, 2, 2)) == 4
-
-    def test_small(self):
-        assert interaction_count(Parameters(3, 5, 2)) == 80
-
-    def test_matches_enumeration(self):
-        for t, k, v in [(2, 6, 2), (3, 7, 3), (2, 12, 2)]:
-            p = Parameters(t, k, v)
-            n = sum(
-                v**t for _ in itertools.combinations(range(k), t)
-            )
-            assert interaction_count(p) == n
+from caforge import GroupKind, Parameters
+from caforge.bounds import _dep_degree
+from caforge.pipeline import group_rho
 
 
 class TestParameters:
@@ -65,12 +16,11 @@ class TestParameters:
     def test_rho_between_vt_minus_one_and_vt(self):
         for t in range(2, 7):
             for v in range(2, 7):
-                d = DerivedConstants.of(Parameters(t, 2 * t, v))
-                assert d.vt - 1 < d.rho < d.vt
+                rho = group_rho(Parameters(t, 2 * t, v), GroupKind.TRIVIAL)
+                assert v**t - 1 < rho < v**t
 
     def test_dep_degree_below_classical_bound(self):
         for t in range(2, 6):
             for k in range(2 * t, 30, 3):
                 p = Parameters(t, k, 3)
-                d = DerivedConstants.of(p)
-                assert d.dep_degree < t * binomial(k, t - 1)
+                assert _dep_degree(p) < t * math.comb(k, t - 1)

@@ -5,8 +5,6 @@ from caforge import (
     GroupKind,
     Parameters,
     RetriesExhausted,
-    Stage1Config,
-    TupleSubset,
     develop,
     mt_construct,
     mt_first_stage,
@@ -15,7 +13,7 @@ from caforge import (
     uncovered_list,
     verify_covering_array,
 )
-from caforge.bounds import first_stage_n
+from caforge.bounds import first_stage_n, lll_first_stage_n
 from caforge.pipeline import group_rho
 
 
@@ -24,9 +22,7 @@ class TestRandFirstStage:
         p = Parameters(2, 6, 2)
         rho = group_rho(p, GroupKind.TRIVIAL)
         n = first_stage_n(p, GroupKind.TRIVIAL, rho)
-        array, report, attempts = rand_first_stage(
-            p, GroupKind.TRIVIAL, Stage1Config(n=n, r=rho, seed=3)
-        )
+        array, report, attempts = rand_first_stage(p, GroupKind.TRIVIAL, n, rho, seed=3)
         assert array.shape == (n, 6)
         assert report.uncovered_count <= rho
         assert attempts >= 1
@@ -35,36 +31,35 @@ class TestRandFirstStage:
 
     def test_reproducible(self):
         p = Parameters(2, 5, 2)
-        cfg = Stage1Config(n=10, r=8.0, seed=42)
-        a1, r1, _ = rand_first_stage(p, GroupKind.TRIVIAL, cfg)
-        a2, r2, _ = rand_first_stage(p, GroupKind.TRIVIAL, cfg)
+        a1, r1, _ = rand_first_stage(p, GroupKind.TRIVIAL, 10, 8.0, seed=42)
+        a2, r2, _ = rand_first_stage(p, GroupKind.TRIVIAL, 10, 8.0, seed=42)
         assert np.array_equal(a1, a2)
         assert r1.uncovered == r2.uncovered
 
     def test_seed_changes_array(self):
         p = Parameters(2, 5, 2)
-        a1, _, _ = rand_first_stage(p, GroupKind.TRIVIAL, Stage1Config(n=10, r=8.0, seed=1))
-        a2, _, _ = rand_first_stage(p, GroupKind.TRIVIAL, Stage1Config(n=10, r=8.0, seed=2))
+        a1, _, _ = rand_first_stage(p, GroupKind.TRIVIAL, 10, 8.0, seed=1)
+        a2, _, _ = rand_first_stage(p, GroupKind.TRIVIAL, 10, 8.0, seed=2)
         assert not np.array_equal(a1, a2)
 
     def test_impossible_target_raises(self):
         p = Parameters(2, 6, 3)
-        with pytest.raises(RetriesExhausted):
-            rand_first_stage(p, GroupKind.TRIVIAL,
-                             Stage1Config(n=1, r=0.0, max_retries=3))
+        with pytest.raises(RetriesExhausted, match="in 20 tries"):
+            rand_first_stage(p, GroupKind.TRIVIAL, 1, 0.0)
 
     def test_group_scan(self):
         p = Parameters(2, 5, 3)
-        array, report, _ = rand_first_stage(
-            p, GroupKind.CYCLIC, Stage1Config(n=8, r=10.0, seed=0)
-        )
+        array, report, _ = rand_first_stage(p, GroupKind.CYCLIC, 8, 10.0, seed=0)
         assert report.uncovered_count == uncovered_list(
             array, p, group=GroupKind.CYCLIC
         ).uncovered_count
 
     def test_bad_config(self):
+        p = Parameters(2, 5, 2)
         with pytest.raises(ValueError):
-            Stage1Config(n=-1, r=1.0)
+            rand_first_stage(p, GroupKind.TRIVIAL, -1, 1.0)
+        with pytest.raises(ValueError):
+            rand_first_stage(p, GroupKind.TRIVIAL, 10, -1.0)
 
 
 class TestMtRowCount:
@@ -104,48 +99,36 @@ class TestMtConstruct:
         assert np.array_equal(a1, a2)
 
 
-class TestTupleSubset:
-    def test_first(self):
-        assert TupleSubset.first(3, 2, 2).ranks == (0, 1, 2)
-
-    def test_bad_m(self):
-        with pytest.raises(ValueError):
-            TupleSubset.first(5, 2, 2)
-        with pytest.raises(ValueError):
-            TupleSubset.first(0, 2, 2)
-
-    def test_duplicate_ranks_rejected(self):
-        with pytest.raises(ValueError):
-            TupleSubset((1, 1))
-
-
 class TestMtFirstStage:
     def test_subset_fully_covered(self):
+        # every column pair covers the first m tuple ranks
         p = Parameters(2, 5, 2)
-        subset = TupleSubset.first(2, 2, 2)
-        array, report = mt_first_stage(p, subset, seed=4, n=12)
-        # every column pair covers tuple ranks 0 and 1
-        table_missing = {
-            (item.columns, item.symbols) for item in report.uncovered
-        }
+        _, m_opt = lll_first_stage_n(p)
+        _, report = mt_first_stage(p, seed=4)
         radix = np.array([2, 1])
-        for cols, syms in table_missing:
-            assert int(np.dot(syms, radix)) not in subset.ranks
+        assert report.uncovered_count > 0
+        for item in report.uncovered:
+            assert int(np.dot(item.symbols, radix)) >= m_opt
 
     def test_report_matches_scan(self):
         p = Parameters(2, 5, 2)
-        array, report = mt_first_stage(p, TupleSubset.first(3, 2, 2), seed=0, n=15)
+        array, report = mt_first_stage(p, seed=0)
         assert report.uncovered == uncovered_list(array, p).uncovered
 
     def test_full_subset_builds_covering_array(self):
-        p = Parameters(2, 4, 2)
-        array, report = mt_first_stage(p, TupleSubset.first(4, 2, 2), seed=2, n=30)
+        # at (2, 64, 2) the LLL optimum asks for all v^t = 4 tuples
+        p = Parameters(2, 64, 2)
+        assert lll_first_stage_n(p) == (26, 4)
+        array, report = mt_first_stage(p, seed=2)
         assert report.uncovered_count == 0
         assert verify_covering_array(array, p)
 
+    def test_narrow_k_rejected(self):
+        with pytest.raises(ValueError, match="requires k >= 2t"):
+            mt_first_stage(Parameters(3, 5, 2))
+
     def test_default_row_count_is_lll_optimum(self):
-        from caforge.bounds import lll_first_stage_n
         p = Parameters(2, 5, 2)
-        n_opt, m_opt = lll_first_stage_n(p)
-        array, _ = mt_first_stage(p, TupleSubset.first(m_opt, 2, 2), seed=0)
-        assert array.shape[0] == n_opt
+        n_opt, _ = lll_first_stage_n(p)
+        array, _ = mt_first_stage(p, seed=0)
+        assert array.shape == (n_opt, 5)

@@ -95,13 +95,14 @@ class TestIncompatGraph:
                 )
 
     def test_group_commit_stays_in_orbit(self):
-        from caforge import canonicalize
+        from caforge.groups import orbit_table
         p = Parameters(2, 4, 3)
+        table = orbit_table(2, 3, GroupKind.CYCLIC)
         _, report = leftovers(p, seed=2, n=2, group=GroupKind.CYCLIC)
         g = build_incompat_graph(report.uncovered, p, GroupKind.CYCLIC)
         for item, committed in zip(report.uncovered, g.vertices):
-            canon, _ = canonicalize(GroupKind.CYCLIC, committed.symbols, 3)
-            assert canon == item.symbols
+            orbit = table.orbit_of[int(np.dot(committed.symbols, table.radix))]
+            assert table.rep_symbols(int(orbit)) == item.symbols
 
     def test_commit_reduces_edges(self):
         # committing the min-conflict orbit member can only improve on the
