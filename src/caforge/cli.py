@@ -108,7 +108,9 @@ def cmd_construct(args) -> int:
             r_multiplier=args.r_mult, group=GroupKind(args.group),
             seed=args.seed, verify=args.verify,
         )
-    except ValueError as exc:
+        for path in filter(None, (args.out, args.report)):
+            open(path, "a").close()  # fails before the run; never truncates
+    except (ValueError, OSError) as exc:
         return _usage_error(exc)
     try:
         array, rep = run(spec)
@@ -177,6 +179,9 @@ def _grid_spec(fields: dict) -> RunSpec:
         raise ValueError(f"unknown grid keys: {sorted(unknown)}")
     p = Parameters(t=_decimal(fields["t"]), k=_decimal(fields["k"]),
                    v=_decimal(fields["v"]))
+    verify = fields.get("verify", "false").lower()
+    if verify not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"verify takes 1/true/yes or 0/false/no, not {verify!r}")
     return RunSpec(
         p=p,
         stage1=fields.get("stage1", "rand"),
@@ -184,7 +189,7 @@ def _grid_spec(fields: dict) -> RunSpec:
         r_multiplier=float(fields.get("r_mult", 1.0)),
         group=GroupKind(fields.get("group", "trivial")),
         seed=_decimal(fields.get("seed", "0")),
-        verify=fields.get("verify", "false").lower() in ("1", "true", "yes"),
+        verify=verify in ("1", "true", "yes"),
     )
 
 
@@ -220,6 +225,10 @@ def cmd_benchmark(args) -> int:
     except (OSError, KeyError, ValueError) as exc:
         print(f"error: malformed grid: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    try:
+        open(args.out, "a").close()  # fails before the run; never truncates
+    except OSError as exc:
+        return _usage_error(exc)
     rows = benchmark(grid)
     try:
         with open(args.out, "w", newline="") as fh:
@@ -240,15 +249,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("construct", help="build a covering array")
-    c.add_argument("--t", type=int, required=True)
-    c.add_argument("--k", type=int, required=True)
-    c.add_argument("--v", type=int, required=True)
+    c.add_argument("--t", type=_decimal, required=True)
+    c.add_argument("--k", type=_decimal, required=True)
+    c.add_argument("--v", type=_decimal, required=True)
     c.add_argument("--stage1", choices=STAGE1_KINDS, default="rand")
     c.add_argument("--stage2", choices=STAGE2_KINDS, default="naive")
     c.add_argument("--r-mult", type=float, default=1.0)
     c.add_argument("--group", choices=[g.value for g in GroupKind],
                    default="trivial")
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--seed", type=_decimal, default=0)
     c.add_argument("--out", default=None)
     c.add_argument("--report", default=None)
     c.add_argument("--verify", action="store_true")
@@ -256,15 +265,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="check an array file for full coverage")
     ver.add_argument("--in", dest="infile", required=True)
-    ver.add_argument("--t", type=int, default=None)
-    ver.add_argument("--v", type=int, default=None)
+    ver.add_argument("--t", type=_decimal, default=None)
+    ver.add_argument("--v", type=_decimal, default=None)
     ver.set_defaults(func=cmd_verify)
 
     b = sub.add_parser("bounds", help="print every size bound for (t, k, v)")
-    b.add_argument("--t", type=int, required=True)
-    b.add_argument("--k", type=int, required=True)
-    b.add_argument("--v", type=int, required=True)
-    b.add_argument("--k-max", type=int, default=None)
+    b.add_argument("--t", type=_decimal, required=True)
+    b.add_argument("--k", type=_decimal, required=True)
+    b.add_argument("--v", type=_decimal, required=True)
+    b.add_argument("--k-max", type=_decimal, default=None)
     b.add_argument("--format", choices=["csv", "json"], default="csv")
     b.set_defaults(func=cmd_bounds)
 

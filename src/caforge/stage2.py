@@ -13,7 +13,7 @@ a row exactly when they agree wherever both are fixed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,15 +90,16 @@ def greedy_cover(uncovered, p: Parameters, group: GroupKind,
 
 @dataclass
 class IncompatibilityGraph:
-    """Committed uncovered items with symbol-conflict edges.
+    """Committed items as (n, k) partial ``rows``, and the (n, n) symmetric
+    bool ``adjacency`` of their conflicts: some column fixed to different
+    symbols.  An independent set is coverable by one row."""
 
-    Two vertices are adjacent when they share a column in which their
-    committed symbols differ; an independent set is coverable by one row.
-    """
+    rows: np.ndarray
+    adjacency: np.ndarray
 
-    vertices: list = field(default_factory=list)
-    adjacency: list = field(default_factory=list)
-    m_edges: int = 0
+    @property
+    def m_edges(self) -> int:
+        return int(self.adjacency.sum()) // 2
 
 
 def build_incompat_graph(uncovered, p: Parameters,
@@ -106,53 +107,47 @@ def build_incompat_graph(uncovered, p: Parameters,
     """Commit each arriving item to the representative with fewest conflicts
     against the already-committed vertices, then record the conflict edges."""
     committed = _item_rows(uncovered, p)
-    g = IncompatibilityGraph()
+    adjacency = np.zeros((len(committed), len(committed)), dtype=bool)
     for i, item in enumerate(uncovered):
         cols = list(item.columns)
         members = _orbit_members(item, p, group)
         clash = ~_agree(committed[:i, None, cols], members)  # (vertex, member)
         best = int(clash.sum(axis=0).argmin())
         committed[i, cols] = members[best]
-        edges = np.flatnonzero(clash[:, best]).tolist()
-        g.vertices.append(Interaction(item.columns, tuple(members[best].tolist())))
-        g.adjacency.append(edges)
-        for j in edges:
-            g.adjacency[j].append(i)
-        g.m_edges += len(edges)
-    return g
+        adjacency[i, :i] = clash[:, best]
+    return IncompatibilityGraph(committed, adjacency | adjacency.T)
 
 
 def smallest_last_order(g: IncompatibilityGraph):
     """Vertex order whose reverse repeatedly removed a minimum-degree vertex
     (ties to the lowest index).  Also returns the degeneracy."""
-    n = len(g.vertices)
-    degree = [len(a) for a in g.adjacency]
-    removed = [False] * n
-    order = []
-    degeneracy = 0
+    n = len(g.adjacency)
+    degree = g.adjacency.sum(axis=1)
+    alive = np.ones(n, dtype=bool)
+    order, degeneracy = [], 0
     for _ in range(n):
-        u = min((d, i) for i, d in enumerate(degree) if not removed[i])[1]
-        degeneracy = max(degeneracy, degree[u])
-        removed[u] = True
+        # A removed vertex keeps losing degree, so mask it above any live one.
+        u = int(np.where(alive, degree, n).argmin())
+        degeneracy = max(degeneracy, int(degree[u]))
+        alive[u] = False
         order.append(u)
-        for w in g.adjacency[u]:
-            if not removed[w]:
-                degree[w] -= 1
-    order.reverse()
-    return order, degeneracy
+        degree -= g.adjacency[u]
+    return order[::-1], degeneracy
 
 
 def color_cover(g: IncompatibilityGraph, p: Parameters, group: GroupKind,
                 rng: np.random.Generator):
     """Greedy-color in smallest-last order and merge each color class into
     one row.  Returns (rows, colors_used, degeneracy)."""
+    items = np.asarray(g.rows)
+    if items.shape[1:] != (p.k,) or ((items < FLEXIBLE) | (items >= p.v)).any():
+        raise ValueError(f"graph rows out of range for k={p.k}, v={p.v}")
     order, degeneracy = smallest_last_order(g)
-    color = np.full(len(g.vertices), -1, dtype=np.int64)
+    color = np.full(len(items), -1, dtype=np.int64)
     for u in order:  # the least color no neighbour holds
         taken = set(color[g.adjacency[u]].tolist())
         color[u] = min(set(range(len(taken) + 1)) - taken)
     n_colors = int(color.max(initial=-1)) + 1
-    items = _item_rows(g.vertices, p)
     # A fixed symbol outranks FLEXIBLE, so the maximum merges a class; the
     # class fits one row exactly when every member agrees with the merge.
     rows = np.full((n_colors, p.k), FLEXIBLE, dtype=np.int64)

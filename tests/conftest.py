@@ -21,8 +21,10 @@ def brute_uncovered(array, p: Parameters):
 
 
 def exact_chromatic_number(adjacency):
-    """Smallest c admitting a proper coloring, by exhaustive backtracking."""
-    n = len(adjacency)
+    """Smallest c admitting a proper coloring of the graph with this bool
+    adjacency matrix, by exhaustive backtracking."""
+    neighbours = [np.flatnonzero(row).tolist() for row in np.asarray(adjacency)]
+    n = len(neighbours)
     if n == 0:
         return 0
 
@@ -33,7 +35,7 @@ def exact_chromatic_number(adjacency):
             if u == n:
                 return True
             for col in range(c):
-                if all(color[w] != col for w in adjacency[u]):
+                if all(color[w] != col for w in neighbours[u]):
                     color[u] = col
                     if place(u + 1):
                         return True

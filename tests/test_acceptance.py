@@ -184,7 +184,7 @@ def test_criterion_5_oracle_equivalence():
         _, n_colors, _ = color_cover(g, p, GroupKind.TRIVIAL,
                                      np.random.default_rng(0))
         assert n_colors <= degeneracy + 1
-        if 0 < len(g.vertices) <= 10:
+        if 0 < len(g.rows) <= 10:
             chi = exact_chromatic_number(g.adjacency)
             assert chi <= n_colors <= degeneracy + 1
             checked_graphs += 1

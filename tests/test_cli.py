@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from caforge import Parameters, pipeline, stage1, verify_covering_array
+from pathlib import Path
+
+from caforge import Parameters, cli, pipeline, stage1, verify_covering_array
 from caforge.cli import (
     CSV_HEADER,
     EXIT_CONSTRUCTION,
@@ -195,6 +197,26 @@ class TestGridParsing:
         specs = parse_grid(text)
         assert [(s.p.k, s.p.v) for s in specs] == [(5, 2), (6, 3)]
 
+    @pytest.mark.parametrize("word, verify", [
+        ("1", True), ("TRUE", True), ("Yes", True),
+        ("0", False), ("false", False), ("NO", False),
+    ])
+    def test_verify_words(self, word, verify):
+        assert parse_grid(f"t=2\nk=5\nv=2\nverify={word}\n")[0].verify is verify
+
+    def test_tradeoff_grid(self):
+        # The committed memory-quality sweep: (3,12,4) trivial rand, every
+        # stage-2 kind x r in {1, 4, 16, 64} rho x seeds 1-2, verified.
+        grid = Path(__file__).parent.parent / "grids" / "tradeoff.grid"
+        specs = parse_grid(grid.read_text())
+        assert len(specs) == 32
+        assert {(s.p.t, s.p.k, s.p.v, s.stage1, s.group.value) for s in specs} == {
+            (3, 12, 4, "rand", "trivial")}
+        assert all(s.verify for s in specs)
+        assert sorted((s.stage2, s.r_multiplier, s.seed) for s in specs) == sorted(
+            (s2, r, seed) for s2 in pipeline.STAGE2_KINDS
+            for r in (1.0, 4.0, 16.0, 64.0) for seed in (1, 2))
+
     def test_duplicate_key(self):
         with pytest.raises(ValueError, match="duplicate grid key 'k'"):
             parse_grid("t=2\nk=5\nv=2\nk=6\n")
@@ -238,7 +260,10 @@ class TestBenchmarkCommand:
         "t=2\nk=5\nv=2\n\nt=2\nk=6\nk=7\nv=2\n",
         "t=2\nk=5\nv=2\nr_mult=nan\n",
         "t=2\nk=1_0\nv=2\n",
-    ], ids=["negative-seed", "duplicate-key", "r-mult-nan", "underscore-k"])
+        "t=2\nk=5\nv=2\nverify=ture\n",
+        "t=2\nk=5\nv=2\nverify=on\n",
+    ], ids=["negative-seed", "duplicate-key", "r-mult-nan", "underscore-k",
+            "verify-ture", "verify-on"])
     def test_rejected_grid_usage_error(self, tmp_path, capsys, text):
         grid = tmp_path / "grid.txt"
         grid.write_text(text)
@@ -261,6 +286,10 @@ def _raise_retries(*args, **kwargs):
     raise stage1.RetriesExhausted("injected")
 
 
+def _must_not_run(*args, **kwargs):
+    pytest.fail("ran before the output path was found unwritable")
+
+
 class TestExitCodes:
     """Every documented exit status is reachable from the command line."""
 
@@ -271,7 +300,7 @@ class TestExitCodes:
         (EXIT_USAGE, ["verify", "--in", "{huge}"], None, "too large"),
         (EXIT_USAGE, ["verify", "--in", "{wide}"], None, "dimension"),
         (EXIT_USAGE, ["construct", "--t", "2", "--k", "4", "--v", "2",
-                      "--seed", "-1"], None, "seed must be nonnegative"),
+                      "--seed", "-1"], None, "argument --seed"),
         (EXIT_USAGE, ["construct", "--t", "2", "--k", "4", "--v", "2",
                       "--r-mult", "nan"], None, "finite r"),
         (EXIT_USAGE, ["construct", "--t", "2", "--k", "4", "--v", "2",
@@ -286,15 +315,30 @@ class TestExitCodes:
         (EXIT_USAGE, ["verify", "--in", "{digits}"], None, "not a decimal integer"),
         (EXIT_USAGE, ["verify", "--in", "{utf16}"], None, "can't decode"),
         (EXIT_USAGE, ["construct", "--t", "2", "--k", "4", "--v", "2",
-                      "--out", "{missing}"], None, "No such file or directory"),
-        (EXIT_USAGE, ["construct", "--t", "2", "--k", "4", "--v", "2",
-                      "--report", "{missing}"], None, "No such file or directory"),
-        (EXIT_USAGE, ["benchmark", "--grid", "{grid}", "--out", "{missing}"], None,
+                      "--out", "{missing}"], (cli, "run", _must_not_run),
          "No such file or directory"),
+        (EXIT_USAGE, ["construct", "--t", "2", "--k", "4", "--v", "2",
+                      "--report", "{missing}"], (cli, "run", _must_not_run),
+         "No such file or directory"),
+        (EXIT_USAGE, ["benchmark", "--grid", "{grid}", "--out", "{missing}"],
+         (cli, "benchmark", _must_not_run), "No such file or directory"),
+        (EXIT_USAGE, ["construct", "--t", "2", "--k", "1_0", "--v", "2"], None,
+         "argument --k"),
+        (EXIT_USAGE, ["construct", "--t", "2", "--k", "4", "--v", "٣"], None,
+         "argument --v"),
+        (EXIT_USAGE, ["construct", "--t", "2", "--k", "4", "--v", "2",
+                      "--seed", "١"], None, "argument --seed"),
+        (EXIT_USAGE, ["bounds", "--t", "2", "--k", "٤", "--v", "2"], None,
+         "argument --k"),
+        (EXIT_USAGE, ["bounds", "--t", "2", "--k", "4", "--v", "2",
+                      "--k-max", "+6"], None, "argument --k-max"),
+        (EXIT_USAGE, ["verify", "--in", "{bad}", "--t", "٢"], None, "argument --t"),
     ], ids=["ok", "not-covering", "symbol-beyond-int64", "k-beyond-int64", "usage",
             "r-mult-nan", "r-mult-inf", "r-mult-1e308", "construction", "verify",
             "non-decimal-symbols", "not-utf8", "out-unwritable", "report-unwritable",
-            "benchmark-out-unwritable"])
+            "benchmark-out-unwritable", "underscore-k-flag", "arabic-v-flag",
+            "arabic-seed-flag", "arabic-bounds-k-flag", "plus-k-max-flag",
+            "arabic-verify-t-flag"])
     def test_reachable(self, tmp_path, monkeypatch, capsys, code, argv, patch, err):
         files = {"bad": "CA 2 3 2 2\n0 0 0\n1 1 1\n",
                  "huge": "CA 1 2 2 2\n0 99999999999999999999\n",

@@ -7,8 +7,8 @@ digest.  Run ``pytest tests/test_golden.py`` after every refactor; it must
 pass unedited.
 
 ``PYTHONPATH=src python tests/test_golden.py`` prints the ``RUNS``,
-``CLEANUP_RUNS``, ``BOUND_REPORTS`` and ``FIELD_DIGEST`` literals computed by
-the current ``src/``.  To pin a new
+``CLEANUP_RUNS``, ``GRAPH_RUNS``, ``BOUND_REPORTS`` and ``FIELD_DIGEST``
+literals computed by the current ``src/``.  To pin a new
 shape, add it to ``SHAPES`` and paste the output recorded before the
 refactor.
 """
@@ -19,9 +19,12 @@ import itertools
 import numpy as np
 import pytest
 
-from caforge import BoundReport, GroupKind, Parameters, RunSpec, bound_report, run
+from caforge import (BoundReport, GroupKind, Parameters, RunSpec, bound_report,
+                     build_incompat_graph, color_cover, first_stage_n,
+                     rand_first_stage, run)
 from caforge.groups import field_for, prime_power, symbol_maps
-from caforge.pipeline import STAGE1_KINDS, STAGE2_KINDS
+from caforge.pipeline import STAGE1_KINDS, STAGE2_KINDS, group_rho
+from caforge.stage2 import smallest_last_order
 
 
 def array_digest(array) -> str:
@@ -44,6 +47,12 @@ RUN_KEYS = [(*shape, s1, s2, g.value) for shape, s1, s2, g in itertools.product(
 CLEANUP_R = 30.0
 CLEANUP_KEYS = [(3, 12, 4, "rand", s2, g.value)
                 for s2, g in itertools.product(STAGE2_KINDS, GroupKind)]
+
+
+# The col strategy's inner steps, which the pipeline digests never see:
+# (t, k, v, group, r_multiplier), each a rand stage 1 at seed 1.
+GRAPH_KEYS = [(3, 12, 4, "trivial", CLEANUP_R), (3, 12, 4, "cyclic", CLEANUP_R),
+              *((3, 8, 5, g.value, 1.0) for g in GroupKind)]
 
 
 def field_digest(v_max=128) -> str:
@@ -69,6 +78,23 @@ def run_values(key, r_multiplier=1.0):
             (rep.n_stage1, rep.uncovered_after_stage1, rep.rows_stage2,
              rep.N_final, rep.retries),
             rep.bound_predicted)
+
+
+def graph_values(key):
+    """The incompatibility graph of a run's stage-1 leftovers, its
+    smallest-last order and its colour rows."""
+    t, k, v, group, r_multiplier = key
+    p, group = Parameters(t, k, v), GroupKind(group)
+    r = r_multiplier * group_rho(p, group)
+    _, report, _ = rand_first_stage(p, group, first_stage_n(p, group, r), r, seed=1)
+    g = build_incompat_graph(report.uncovered, p, group)
+    order, degeneracy = smallest_last_order(g)
+    rng = np.random.default_rng(np.random.SeedSequence([1, 1 << 32]))
+    rows, n_colors, color_degeneracy = color_cover(g, p, group, rng)
+    edges = np.argwhere(np.triu(g.adjacency))  # (i, j) with i < j, sorted
+    return ((array_digest(g.rows), array_digest(edges), int(g.m_edges)),
+            (array_digest(order), int(degeneracy)),
+            (array_digest(rows), int(n_colors), int(color_degeneracy)))
 
 
 # (t, k, v, stage1, stage2, group) -> (developed-array digest,
@@ -405,6 +431,37 @@ CLEANUP_RUNS = {
         (10, 102, 12, 268, 1), 375.67015638184427),
 }
 
+# (t, k, v, group, r_multiplier) -> ((committed-rows digest, sorted-edges
+#   digest, m_edges), (order digest, degeneracy), (colour-rows digest,
+#   colours, degeneracy)).
+GRAPH_RUNS = {
+    (3, 12, 4, 'trivial', 30.0): (
+        ('dd5db61f683ba77cf4519bd61797783cc95d01c6a51448263d73f86d8fb71664',
+         'dc80d96f3a1e9be3c6617dc1876c366415fa6d9fdc1aac56120d0823e5374b98', 785341),
+        ('a0dc5b3867394728ed8b71fbb0af671afedd71ab9b25422823810bc75aa229d0', 731),
+        ('00e65b64fcd6534a007133e99a54aa0ce4ac90d82e442e47f2e4158a916edf95', 98, 731)),
+    (3, 12, 4, 'cyclic', 30.0): (
+        ('9fa35303385ff8c23d398cbefce9fb29fb7d48b179028da135bbbf1a16a42267',
+         '90715280b86cb6719844d3f27733c72bd1ab658116263fe82122bc4f2aec4088', 28817),
+        ('769deb012ebb636c56f8ced6f4b68336c493cd9731a5772a625b4b5787255866', 108),
+        ('23abc3da1710fd065147c23f0bc32c44a1699ac7d737f4d833c18f90ac39ce4e', 30, 108)),
+    (3, 8, 5, 'trivial', 1.0): (
+        ('daba500fc4877fe8cf27cf7d57b9db5db16d3e9f046105d1d0bfe69d5000f219',
+         '4d5f80f396bf31b1acad857e93489d074050de61e8fa347ffb3d4e468bf9f316', 4781),
+        ('f71c7a2c8e295ae7aa3ad6c29c92d90b22df7c250e98b69953cba568d3b9a94f', 69),
+        ('f5eb827512aa2a082b58848fd56229acb36d1c15cdb7c49f35cf3c5500d89fe3', 32, 69)),
+    (3, 8, 5, 'cyclic', 1.0): (
+        ('bc25141176c7a1d720f54e5432ac88df592a6aef293040898dfe7620f1357bb7',
+         'b15190fb5d4b1590b9ac10897e5fe124241f83c5f7b523e412a3465879cd4bcc', 42),
+        ('80a9b7f0519374efdce0f80c03e137cf88bd02e54505d8660b72e2ca9466602b', 4),
+        ('b439ed32b5b083c6e0f1877152a44e5614a706fefaef3a2c15af3d2b33c4811d', 5, 4)),
+    (3, 8, 5, 'frobenius', 1.0): (
+        ('d64a246a84fa6ab0b7ed21a8a4f1b1e1c1660e2609caab8743941a5d677c6975',
+         '1f64673779413bef9a029dc55b8d5d14cb3039370b90148a649a5baa4584a2b2', 0),
+        ('89fa253ca7677902568730189f14ea46294c1dcc34867ea977844dc974688021', 0),
+        ('45bb2c54d01aebb00f06a90f5a41ad677017fc4994cabb45211a0d65f0e6cd4b', 1, 0)),
+}
+
 BOUND_REPORTS = {
     (2, 4, 2): '463ee60d8bbea3b717d8fe49c25915de375c99c69a9ad13002d9d580249b9249',
     (2, 10, 3): '5258b3ee3c04c60b0e59116764115a80cdcaabf1ef5bb117c8a077186bfaf9b4',
@@ -428,6 +485,11 @@ def test_cleanup_digest(key):
     assert run_values(key, CLEANUP_R) == CLEANUP_RUNS[key]
 
 
+@pytest.mark.parametrize("key", GRAPH_KEYS, ids=lambda key: "-".join(map(str, key)))
+def test_graph_digest(key):
+    assert graph_values(key) == GRAPH_RUNS[key]
+
+
 @pytest.mark.parametrize("triple", list(BOUND_REPORTS), ids=str)
 def test_bound_report_digest(triple):
     assert report_digest(bound_report(Parameters(*triple))) == BOUND_REPORTS[triple]
@@ -448,6 +510,10 @@ def print_runs(name, keys, r_multiplier=1.0):
 def print_literals():
     print_runs("RUNS", RUN_KEYS)
     print_runs("CLEANUP_RUNS", CLEANUP_KEYS, CLEANUP_R)
+    print("GRAPH_RUNS = {")
+    for key in GRAPH_KEYS:
+        print(f"    {key!r}: {graph_values(key)!r},")
+    print("}\n")
     print("BOUND_REPORTS = {")
     for triple in BOUND_REPORTS:
         print(f"    {triple!r}: {report_digest(bound_report(Parameters(*triple)))!r},")

@@ -4,6 +4,7 @@ import pytest
 from caforge import (
     FLEXIBLE,
     GroupKind,
+    IncompatibilityGraph,
     Parameters,
     build_incompat_graph,
     color_cover,
@@ -27,6 +28,35 @@ def leftovers(p, seed=0, n=3, group=GroupKind.TRIVIAL):
 def assert_completes(array, rows, p, group):
     full = develop(np.vstack([array, rows]), group, p.v)
     assert verify_covering_array(full, p)
+
+
+def graph_from_edges(n, edges, k=2):
+    """A hand-built graph on n all-flexible rows with the given edges."""
+    adjacency = np.zeros((n, n), dtype=bool)
+    for i, j in edges:
+        adjacency[i, j] = adjacency[j, i] = True
+    return IncompatibilityGraph(np.full((n, k), FLEXIBLE), adjacency)
+
+
+def list_smallest_last_order(adjacency):
+    """The adjacency-list smallest-last order and degeneracy: a minimum of
+    (degree, index) over the live vertices, one removal at a time.  The
+    reference for the matrix version."""
+    n = len(adjacency)
+    degree = [len(a) for a in adjacency]
+    removed = [False] * n
+    order = []
+    degeneracy = 0
+    for _ in range(n):
+        u = min((d, i) for i, d in enumerate(degree) if not removed[i])[1]
+        degeneracy = max(degeneracy, degree[u])
+        removed[u] = True
+        order.append(u)
+        for w in adjacency[u]:
+            if not removed[w]:
+                degree[w] -= 1
+    order.reverse()
+    return order, degeneracy
 
 
 class TestNaive:
@@ -82,17 +112,29 @@ class TestIncompatGraph:
         p = Parameters(2, 5, 3)
         _, report = leftovers(p, seed=1)
         g = build_incompat_graph(report.uncovered, p, GroupKind.TRIVIAL)
-        assert len(g.vertices) == report.uncovered_count
-        assert sum(len(a) for a in g.adjacency) == 2 * g.m_edges
-        for i, nbrs in enumerate(g.adjacency):
-            vi = g.vertices[i]
-            for j in nbrs:
-                vj = g.vertices[j]
-                shared = set(vi.columns) & set(vj.columns)
-                assert any(
-                    vi.symbols[vi.columns.index(c)] != vj.symbols[vj.columns.index(c)]
-                    for c in shared
-                )
+        n = report.uncovered_count
+        assert g.rows.shape == (n, p.k) and g.adjacency.shape == (n, n)
+        assert g.adjacency.dtype == bool
+        assert g.adjacency.sum() == 2 * g.m_edges
+        for item, row in zip(report.uncovered, g.rows):
+            assert tuple(row[list(item.columns)]) == item.symbols
+            assert (np.delete(row, item.columns) == FLEXIBLE).all()
+
+    @pytest.mark.parametrize("group", list(GroupKind))
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_edge_exactly_when_rows_conflict(self, group, seed):
+        # An iff, so a missing edge fails as well as a spurious one.
+        p = Parameters(3, 5, 3)
+        _, report = leftovers(p, seed=seed, n=4, group=group)
+        g = build_incompat_graph(report.uncovered, p, group)
+        assert len(g.rows) > 1
+        assert (g.adjacency == g.adjacency.T).all()
+        assert not g.adjacency.diagonal().any()
+        for i, a in enumerate(g.rows):
+            for j, b in enumerate(g.rows):
+                conflict = any(x != y for x, y in zip(a, b)
+                               if x != FLEXIBLE and y != FLEXIBLE)
+                assert g.adjacency[i, j] == conflict
 
     def test_group_commit_stays_in_orbit(self):
         from caforge.groups import orbit_table
@@ -100,8 +142,8 @@ class TestIncompatGraph:
         table = orbit_table(2, 3, GroupKind.CYCLIC)
         _, report = leftovers(p, seed=2, n=2, group=GroupKind.CYCLIC)
         g = build_incompat_graph(report.uncovered, p, GroupKind.CYCLIC)
-        for item, committed in zip(report.uncovered, g.vertices):
-            orbit = table.orbit_of[int(np.dot(committed.symbols, table.radix))]
+        for item, row in zip(report.uncovered, g.rows):
+            orbit = table.orbit_of[int(np.dot(row[list(item.columns)], table.radix))]
             assert table.rep_symbols(int(orbit)) == item.symbols
 
     def test_commit_reduces_edges(self):
@@ -116,25 +158,31 @@ class TestIncompatGraph:
 
 class TestSmallestLast:
     def test_path_degeneracy(self):
-        from caforge import Interaction, IncompatibilityGraph
-        g = IncompatibilityGraph(
-            vertices=[Interaction((0, 1), (0, 0))] * 4,
-            adjacency=[[1], [0, 2], [1, 3], [2]],
-            m_edges=3,
-        )
+        g = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        assert g.m_edges == 3
         order, degeneracy = smallest_last_order(g)
         assert sorted(order) == [0, 1, 2, 3]
         assert degeneracy == 1
 
     def test_triangle(self):
-        from caforge import Interaction, IncompatibilityGraph
-        g = IncompatibilityGraph(
-            vertices=[Interaction((0, 1), (0, 0))] * 3,
-            adjacency=[[1, 2], [0, 2], [0, 1]],
-            m_edges=3,
-        )
+        g = graph_from_edges(3, [(0, 1), (0, 2), (1, 2)])
+        assert g.m_edges == 3
         _, degeneracy = smallest_last_order(g)
         assert degeneracy == 2
+
+    def test_matches_list_oracle(self):
+        # Dense graphs are where a removed vertex's degree can fall below a
+        # live one's; the order must never pick a removed vertex again.
+        rng = np.random.default_rng(2026)
+        for _ in range(120):
+            n = int(rng.integers(1, 61))
+            density = rng.uniform(0.1, 0.9)
+            upper = np.triu(rng.random((n, n)) < density, 1)
+            adjacency = upper | upper.T
+            g = IncompatibilityGraph(np.full((n, 2), FLEXIBLE), adjacency)
+            lists = [np.flatnonzero(row).tolist() for row in adjacency]
+            order, degeneracy = smallest_last_order(g)
+            assert (list(order), degeneracy) == list_smallest_last_order(lists)
 
 
 class TestColorCover:
@@ -152,7 +200,7 @@ class TestColorCover:
         p = Parameters(2, 5, 2)
         _, report = leftovers(p, seed=7, n=5)
         g = build_incompat_graph(report.uncovered, p, GroupKind.TRIVIAL)
-        assert len(g.vertices) <= 12  # keeps the backtracking oracle fast
+        assert len(g.rows) <= 12  # keeps the backtracking oracle fast
         rows, n_colors, _ = color_cover(g, p, GroupKind.TRIVIAL, rng)
         chi = exact_chromatic_number(g.adjacency)
         assert chi <= n_colors
@@ -163,17 +211,20 @@ class TestColorCover:
         _, report = leftovers(p, seed=11, n=4)
         g = build_incompat_graph(report.uncovered, p, GroupKind.TRIVIAL)
         rows, _, _ = color_cover(g, p, GroupKind.TRIVIAL, rng)
-        for u, item in enumerate(g.vertices):
+        for committed in g.rows:
+            cols = np.flatnonzero(committed != FLEXIBLE)
             hit = [
                 r for r in range(rows.shape[0])
-                if all(rows[r, c] == s for c, s in zip(item.columns, item.symbols))
+                if all(rows[r, c] == committed[c] for c in cols)
             ]
             assert hit
 
     def test_empty_graph(self, rng):
-        from caforge import IncompatibilityGraph
+        g = IncompatibilityGraph(np.empty((0, 4), dtype=np.int64),
+                                 np.zeros((0, 0), dtype=bool))
+        assert g.m_edges == 0
         rows, n_colors, degeneracy = color_cover(
-            IncompatibilityGraph(), Parameters(2, 4, 2), GroupKind.TRIVIAL, rng
+            g, Parameters(2, 4, 2), GroupKind.TRIVIAL, rng
         )
         assert rows.shape == (0, 4)
         assert n_colors == 0 and degeneracy == 0
@@ -246,12 +297,23 @@ class TestInputChecks:
             else:
                 build_incompat_graph(items, p, GroupKind.FROBENIUS)
 
+    # A hand-built graph is given rows, not items, so for col each bad item
+    # stands for a bad row: a cell below FLEXIBLE, a cell of v, or a row
+    # k - 1 or k + 1 wide.
+    BAD_GRAPH_ROWS = {
+        ((2, 3), (-1, 0)): [[0, 1, FLEXIBLE, FLEXIBLE], [FLEXIBLE, FLEXIBLE, -2, 0]],
+        ((2, 3), (3, 0)): [[0, 1, FLEXIBLE, FLEXIBLE], [FLEXIBLE, FLEXIBLE, 3, 0]],
+        ((-1, 2), (0, 0)): [[0, 1, FLEXIBLE], [FLEXIBLE, 0, 0]],
+        ((3, 4), (0, 0)): [[0, 1, FLEXIBLE, FLEXIBLE, FLEXIBLE],
+                           [FLEXIBLE, FLEXIBLE, FLEXIBLE, 0, 0]],
+    }
+
     @pytest.mark.parametrize("columns, symbols", [
         ((2, 3), (-1, 0)), ((2, 3), (3, 0)), ((-1, 2), (0, 0)), ((3, 4), (0, 0)),
     ], ids=["symbol-negative", "symbol-v", "column-negative", "column-k"])
     @pytest.mark.parametrize("cover", ["naive", "greedy", "graph", "col", "den"])
     def test_item_out_of_range(self, rng, cover, columns, symbols):
-        from caforge import IncompatibilityGraph, Interaction
+        from caforge import Interaction
         p, group = Parameters(2, 4, 3), GroupKind.TRIVIAL
         items = [Interaction((0, 1), (0, 1)), Interaction(columns, symbols)]
         with pytest.raises(ValueError, match="out of range"):
@@ -262,7 +324,8 @@ class TestInputChecks:
             elif cover == "graph":
                 build_incompat_graph(items, p, group)
             elif cover == "col":
-                graph = IncompatibilityGraph(vertices=items, adjacency=[[], []])
-                color_cover(graph, p, group, rng)
+                rows = np.array(self.BAD_GRAPH_ROWS[columns, symbols])
+                color_cover(IncompatibilityGraph(rows, np.zeros((2, 2), dtype=bool)),
+                            p, group, rng)
             else:
                 density_cover(items, p, group)
