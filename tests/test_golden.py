@@ -7,8 +7,8 @@ digest.  Run ``pytest tests/test_golden.py`` after every refactor; it must
 pass unedited.
 
 ``PYTHONPATH=src python tests/test_golden.py`` prints the ``RUNS``,
-``CLEANUP_RUNS``, ``GRAPH_RUNS``, ``BOUND_REPORTS`` and ``FIELD_DIGEST``
-literals computed by the current ``src/``.  To pin a new
+``CLEANUP_RUNS``, ``GRAPH_RUNS``, ``MT_RUNS``, ``BOUND_REPORTS`` and
+``FIELD_DIGEST`` literals computed by the current ``src/``.  To pin a new
 shape, add it to ``SHAPES`` and paste the output recorded before the
 refactor.
 """
@@ -21,7 +21,8 @@ import pytest
 
 from caforge import (BoundReport, GroupKind, Parameters, RunSpec, bound_report,
                      build_incompat_graph, color_cover, first_stage_n,
-                     rand_first_stage, run)
+                     mt_construct, mt_first_stage, rand_first_stage, run,
+                     uncovered_list)
 from caforge.groups import field_for, prime_power, symbol_maps
 from caforge.pipeline import STAGE1_KINDS, STAGE2_KINDS, group_rho
 from caforge.stage2 import smallest_last_order
@@ -55,6 +56,17 @@ GRAPH_KEYS = [(3, 12, 4, "trivial", CLEANUP_R), (3, 12, 4, "cyclic", CLEANUP_R),
               *((3, 8, 5, g.value, 1.0) for g in GroupKind)]
 
 
+# Direct Moser-Tardos calls, (t, k, v, group, seed): mt_first_stage under the
+# trivial group, mt_construct under the others.  Several of them resample:
+# trivial (2,6,3), cyclic (3,8,4) and Frobenius (5,16,5) at seed 3 scan more
+# column t-sets than C(k, t).
+MT_KEYS = [(*shape, group, seed) for shape, group in [
+    ((2, 6, 3), "trivial"), ((3, 8, 4), "trivial"), ((4, 22, 3), "trivial"),
+    ((3, 8, 4), "cyclic"), ((3, 30, 3), "cyclic"),
+    ((3, 8, 5), "frobenius"), ((5, 16, 5), "frobenius"),
+] for seed in (1, 2, 3)]
+
+
 def field_digest(v_max=128) -> str:
     """One digest over the GF(v) add and mul tables and every group's symbol
     maps, for every prime power v <= v_max.  The golden runs reach no field
@@ -78,6 +90,21 @@ def run_values(key, r_multiplier=1.0):
             (rep.n_stage1, rep.uncovered_after_stage1, rep.rows_stage2,
              rep.N_final, rep.retries),
             rep.bound_predicted)
+
+
+def mt_values(key):
+    """The array of one Moser-Tardos call and the items, count and
+    truncation of its leftover report."""
+    t, k, v, group, seed = key
+    p, group = Parameters(t, k, v), GroupKind(group)
+    if group is GroupKind.TRIVIAL:
+        array, report = mt_first_stage(p, seed=seed)
+    else:
+        array = mt_construct(p, group, seed=seed)
+        report = uncovered_list(array, p, group)
+    items = [(item.columns, item.symbols) for item in report.uncovered]
+    return (array_digest(array), hashlib.sha256(repr(items).encode()).hexdigest(),
+            report.uncovered_count, report.truncated)
 
 
 def graph_values(key):
@@ -462,6 +489,74 @@ GRAPH_RUNS = {
         ('45bb2c54d01aebb00f06a90f5a41ad677017fc4994cabb45211a0d65f0e6cd4b', 1, 0)),
 }
 
+# (t, k, v, group, seed) -> (array digest, leftover-items digest,
+#   uncovered_count, truncated).
+MT_RUNS = {
+    (2, 6, 3, 'trivial', 1): (
+        'f58efe80023e3a3db013c1fe6a9afe7e7cd7e7fc5081c7c5137811a380ee5ec1',
+        '471056476a2f9a98bdf5ee6f5a21b50972604f8bed898d8e76bff9bed136f615', 3, False),
+    (2, 6, 3, 'trivial', 2): (
+        'a821bf92c3257657db0f046275846289b34913571db51693192d23e6dbf9aa55',
+        '51e6f75d2dbaa908f66e9c44e5e767d467716774d10ef1bb5bd6fec22ed2acf5', 1, False),
+    (2, 6, 3, 'trivial', 3): (
+        'e0cef62aeb7a923b7b725ff5f5045d735becd100cbf61cb56561b7630bf1bb48',
+        'df4ed0aecc998402984839a6952999c942252d52b25d13f8ce7981f969fe2b29', 1, False),
+    (3, 8, 4, 'trivial', 1): (
+        '83a8cab62a96e8ec22475170cade72f25bae2ffd4cbe4913a8d8328d568f2c73',
+        '99a74c81090c022c497b40280101b2f0bff83f3e868a19be12f21a5130f3fd16', 20, False),
+    (3, 8, 4, 'trivial', 2): (
+        '06e3cc43a3808560f25b0dd65f579e73955f90701da54d2373b8fb39948d310f',
+        '62733b4c4765da29dc92b76275c29d3e7c559d00b5da9b4b7f8de21ad0a4d7c4', 23, False),
+    (3, 8, 4, 'trivial', 3): (
+        '353aca33728839916c3fc6f084fc2b527b71bc91068146356b4781e9a565c9fa',
+        'bf1147176ee61209fd7ea998f3f2392f6159ca426535f06d8350843ef46f949a', 28, False),
+    (4, 22, 3, 'trivial', 1): (
+        'c3d90cd14b8e0b36acb755c8cd24b9c99a834f931a03bd828b753d10b8a62152',
+        'dffc096610e319a88eb31a2f8d06f4141ccd9480fc532ac66a9f41b17153b039', 23, False),
+    (4, 22, 3, 'trivial', 2): (
+        'c2f3a223cefb46c64b219d906ef2945ef99557165e87856f01ee3e45809ec3ed',
+        '4229b09aaf34090f8c722110bcef88f1707ee23a135de6a81e44e66f835ef201', 29, False),
+    (4, 22, 3, 'trivial', 3): (
+        '5150be5de084a5b2d52e2f4e5df54c7ab316bb961d8ff68e7c0ef4c3de6caeab',
+        'a8ed83a3c90b86a58a426175005f6819282c2a424f1e51c5788fb2a87c9b8ea2', 27, False),
+    (3, 8, 4, 'cyclic', 1): (
+        '6a1990767e82416027b30ec83b826add76bd15ef537d1cafcf0cebdb6347f8e2',
+        '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945', 0, False),
+    (3, 8, 4, 'cyclic', 2): (
+        '8e6f7ea484f2b73b8a3c92ada7b8d7dbe7ef648647bcc03bf0cec5b628aba864',
+        '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945', 0, False),
+    (3, 8, 4, 'cyclic', 3): (
+        '39297d2ffcdc98394ad6238e0a684178afbadba8a971b4be642d74fab0815d97',
+        '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945', 0, False),
+    (3, 30, 3, 'cyclic', 1): (
+        'c55a1aeb4f3ed7574c2d845f5fd6015493336ed60c80e70c975f963c98b1ec50',
+        '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945', 0, False),
+    (3, 30, 3, 'cyclic', 2): (
+        'e8ba79ed76ccb4914c89e666ebc2b5ea41e655e155e300ee971c0d8aaa13dabe',
+        '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945', 0, False),
+    (3, 30, 3, 'cyclic', 3): (
+        '1e56c6ac784075d2aab048f0f4f1af521b2f6df255e03f1398092cd10ab7d5e9',
+        '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945', 0, False),
+    (3, 8, 5, 'frobenius', 1): (
+        '0d516969d6fc7cfa2a841c90f5521ebbe26f06cf3233ee5d7fd230aec568c3ab',
+        '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945', 0, False),
+    (3, 8, 5, 'frobenius', 2): (
+        '44f9b789b524071b561bf77026d89fd99a03474d751b183aefdaed080ccdffdf',
+        '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945', 0, False),
+    (3, 8, 5, 'frobenius', 3): (
+        'cce62d83c7a2b3fe0a16c5240dc322a78b7bdec1dd4247d2e55b3b6a484cdc0c',
+        '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945', 0, False),
+    (5, 16, 5, 'frobenius', 1): (
+        '948acec2dc5c4fe94589a7e2f74f85ca1ef8c5362b626f55f25dbee3a264c5e9',
+        '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945', 0, False),
+    (5, 16, 5, 'frobenius', 2): (
+        '23ddf29af2367705b10043c828bac4b147ad3f62d3109cbf424c175b8ec50170',
+        '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945', 0, False),
+    (5, 16, 5, 'frobenius', 3): (
+        '2adbb7da7e8198b79164f461770bfe0aa1b7ac7a751f3d1348a6f46453d6afaa',
+        '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945', 0, False),
+}
+
 BOUND_REPORTS = {
     (2, 4, 2): '463ee60d8bbea3b717d8fe49c25915de375c99c69a9ad13002d9d580249b9249',
     (2, 10, 3): '5258b3ee3c04c60b0e59116764115a80cdcaabf1ef5bb117c8a077186bfaf9b4',
@@ -490,6 +585,11 @@ def test_graph_digest(key):
     assert graph_values(key) == GRAPH_RUNS[key]
 
 
+@pytest.mark.parametrize("key", MT_KEYS, ids=lambda key: "-".join(map(str, key)))
+def test_mt_digest(key):
+    assert mt_values(key) == MT_RUNS[key]
+
+
 @pytest.mark.parametrize("triple", list(BOUND_REPORTS), ids=str)
 def test_bound_report_digest(triple):
     assert report_digest(bound_report(Parameters(*triple))) == BOUND_REPORTS[triple]
@@ -513,6 +613,10 @@ def print_literals():
     print("GRAPH_RUNS = {")
     for key in GRAPH_KEYS:
         print(f"    {key!r}: {graph_values(key)!r},")
+    print("}\n")
+    print("MT_RUNS = {")
+    for key in MT_KEYS:
+        print(f"    {key!r}: {mt_values(key)!r},")
     print("}\n")
     print("BOUND_REPORTS = {")
     for triple in BOUND_REPORTS:
