@@ -50,6 +50,13 @@ def _decimal(token: str) -> int:
     return int(token)
 
 
+def _real(token: str) -> float:
+    """Read an ASCII number with no '_'; ``float`` alone reads '1_0' and '١'."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(f"not an ASCII number: {token!r}")
+    return float(token)
+
+
 def _usage_error(exc) -> int:
     print(f"error: {exc}", file=sys.stderr)
     return EXIT_USAGE
@@ -186,7 +193,7 @@ def _grid_spec(fields: dict) -> RunSpec:
         p=p,
         stage1=fields.get("stage1", "rand"),
         stage2=fields.get("stage2", "naive"),
-        r_multiplier=float(fields.get("r_mult", 1.0)),
+        r_multiplier=_real(fields.get("r_mult", "1")),
         group=GroupKind(fields.get("group", "trivial")),
         seed=_decimal(fields.get("seed", "0")),
         verify=verify in ("1", "true", "yes"),
@@ -254,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--v", type=_decimal, required=True)
     c.add_argument("--stage1", choices=STAGE1_KINDS, default="rand")
     c.add_argument("--stage2", choices=STAGE2_KINDS, default="naive")
-    c.add_argument("--r-mult", type=float, default=1.0)
+    c.add_argument("--r-mult", type=_real, default=1.0)
     c.add_argument("--group", choices=[g.value for g in GroupKind],
                    default="trivial")
     c.add_argument("--seed", type=_decimal, default=0)

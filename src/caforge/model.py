@@ -56,5 +56,8 @@ class CoverageReport:
     """
 
     uncovered: list = field(default_factory=list)
-    uncovered_count: int = 0
     truncated: bool = False
+
+    @property
+    def uncovered_count(self) -> int:
+        return len(self.uncovered)

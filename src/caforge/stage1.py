@@ -8,15 +8,13 @@ tuples by mixed-radix rank, so resampling revisits them in a fixed order.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 from mpmath import mp
 
 from . import bounds
-from .coverage import _covered_mask, uncovered_list
+from .coverage import iter_uncovered, uncovered_list
 from .groups import GroupKind, orbit_table
-from .model import Parameters
+from .model import CoverageReport, Parameters
 
 #: Random first-stage attempts before ``RetriesExhausted``.
 MAX_RETRIES = 20
@@ -65,48 +63,42 @@ def mt_row_count(p: Parameters, group: GroupKind) -> int:
     return int(mp.ceil((mp.log(bounds._dep_degree(p)) + mp.log(full) + 1) / L))
 
 
-def _resample(p: Parameters, table, wanted, n: int, seed: int) -> np.ndarray:
+def _resample(p: Parameters, group: GroupKind, n: int, m: int, seed: int):
     """Moser-Tardos: draw n random rows, then resample the columns of the
-    first column t-set (in lexicographic order) that misses a ``wanted``
-    orbit, until no column t-set does."""
+    first uncovered orbit whose representative ranks below ``m``, until a
+    whole pass finds none.  Returns (array, report of the orbits that last
+    pass left uncovered)."""
     rng = _rng(seed, 0)
     array = rng.integers(0, p.v, size=(n, p.k), dtype=np.int64)
-    colsets = [list(c) for c in itertools.combinations(range(p.k), p.t)]
-    resamples = 0
-    while True:
-        for cols in colsets:
-            if not _covered_mask(array, cols, table)[wanted].all():
-                array[:, cols] = rng.integers(0, p.v, size=(n, p.t), dtype=np.int64)
-                resamples += 1
-                if resamples > ITERATION_CAP:
-                    raise IterationCapExceeded(f"more than {ITERATION_CAP} resamples")
+    radix = orbit_table(p.t, p.v, group).radix
+    for _ in range(ITERATION_CAP + 1):
+        report = CoverageReport()
+        for item in iter_uncovered(array, p, group):
+            if np.dot(item.symbols, radix) < m:
+                array[:, item.columns] = rng.integers(0, p.v, size=(n, p.t), dtype=np.int64)
                 break
+            report.uncovered.append(item)
         else:
-            return array
+            return array, report
+    raise IterationCapExceeded(f"more than {ITERATION_CAP} resamples")
 
 
-def mt_construct(p: Parameters, group: GroupKind, seed: int = 0) -> np.ndarray:
+def mt_construct(p: Parameters, group: GroupKind, seed: int = 0):
     """Resample the columns of the first uncovered orbit until none remains.
 
-    The returned array covers every full orbit; developing it over the group
-    yields a covering array.
+    Returns (array, report).  The array covers every full orbit, so the
+    report is empty and developing the array yields a covering array.
     """
-    n = mt_row_count(p, group)
-    table = orbit_table(p.t, p.v, group)
-    wanted = np.ones(table.n_orbits, dtype=bool)
-    return _resample(p, table, wanted, n, seed)
+    return _resample(p, group, mt_row_count(p, group), p.v**p.t, seed)
 
 
 def mt_first_stage(p: Parameters, seed: int = 0):
     """Resample until every column t-set covers the first m tuple ranks,
     with (n, m) the optimum of ``bounds.lll_first_stage_n``.
 
-    Returns (array, report) where the report lists the interactions still
-    uncovered (all of them necessarily outside the first m ranks).  Like
+    Returns (array, report), the report listing what the last pass left
+    uncovered (necessarily outside the first m ranks).  Like
     ``lll_first_stage_n``, it raises ValueError when k < 2t.
     """
     n, m = bounds.lll_first_stage_n(p)
-    table = orbit_table(p.t, p.v, GroupKind.TRIVIAL)
-    wanted = np.arange(table.n_orbits) < m
-    array = _resample(p, table, wanted, n, seed)
-    return array, uncovered_list(array, p, GroupKind.TRIVIAL)
+    return _resample(p, GroupKind.TRIVIAL, n, m, seed)

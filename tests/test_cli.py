@@ -262,8 +262,10 @@ class TestBenchmarkCommand:
         "t=2\nk=1_0\nv=2\n",
         "t=2\nk=5\nv=2\nverify=ture\n",
         "t=2\nk=5\nv=2\nverify=on\n",
+        "t=2\nk=5\nv=2\nr_mult=1_0\n",
+        "t=2\nk=5\nv=2\nr_mult=١\n",
     ], ids=["negative-seed", "duplicate-key", "r-mult-nan", "underscore-k",
-            "verify-ture", "verify-on"])
+            "verify-ture", "verify-on", "underscore-r-mult", "arabic-r-mult"])
     def test_rejected_grid_usage_error(self, tmp_path, capsys, text):
         grid = tmp_path / "grid.txt"
         grid.write_text(text)
@@ -333,12 +335,20 @@ class TestExitCodes:
         (EXIT_USAGE, ["bounds", "--t", "2", "--k", "4", "--v", "2",
                       "--k-max", "+6"], None, "argument --k-max"),
         (EXIT_USAGE, ["verify", "--in", "{bad}", "--t", "٢"], None, "argument --t"),
+        (EXIT_USAGE, ["construct", "--t", "2", "--k", "4", "--v", "2",
+                      "--r-mult", "١"], None, "argument --r-mult"),
+        (EXIT_USAGE, ["construct", "--t", "2", "--k", "4", "--v", "2",
+                      "--r-mult", "1_0"], None, "argument --r-mult"),
+        (EXIT_CONSTRUCTION, ["construct", "--t", "2", "--k", "6", "--v", "3",
+                             "--stage1", "mt", "--seed", "1"],
+         (stage1, "ITERATION_CAP", 0), "construction failed"),
     ], ids=["ok", "not-covering", "symbol-beyond-int64", "k-beyond-int64", "usage",
             "r-mult-nan", "r-mult-inf", "r-mult-1e308", "construction", "verify",
             "non-decimal-symbols", "not-utf8", "out-unwritable", "report-unwritable",
             "benchmark-out-unwritable", "underscore-k-flag", "arabic-v-flag",
             "arabic-seed-flag", "arabic-bounds-k-flag", "plus-k-max-flag",
-            "arabic-verify-t-flag"])
+            "arabic-verify-t-flag", "arabic-r-mult-flag", "underscore-r-mult-flag",
+            "mt-iteration-cap"])
     def test_reachable(self, tmp_path, monkeypatch, capsys, code, argv, patch, err):
         files = {"bad": "CA 2 3 2 2\n0 0 0\n1 1 1\n",
                  "huge": "CA 1 2 2 2\n0 99999999999999999999\n",

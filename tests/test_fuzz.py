@@ -3,7 +3,8 @@
 Any text gives ``parse_array_file`` a valid array or an ``ArrayFileError``,
 and gives ``parse_grid`` a list of RunSpec or a ValueError/KeyError (the
 errors ``cmd_benchmark`` maps to exit 2); no other exception escapes.  What
-parses holds its integers in ASCII decimal digits only.
+parses holds its integers in ASCII decimal digits only, and its ``r_mult``
+in ASCII with no '_'.
 """
 
 import re
@@ -99,7 +100,8 @@ GRID_VALUES = {
     "stage2": st.sampled_from([*STAGE2_KINDS, "dens", ""]),
     "group": st.sampled_from([*(g.value for g in GroupKind), "dihedral", ""]),
     "r_mult": st.one_of(st.floats(allow_nan=True).map(repr), integers.map(str),
-                        st.sampled_from(["1e-400", "1e400", "-inf"]), junk),
+                        st.sampled_from(["1e-400", "1e400", "-inf"]),
+                        st.integers(1, 9).flatmap(respelled), junk),
     "seed": st.one_of(integers.map(str), st.integers(0, 9).flatmap(respelled), junk),
     "verify": st.sampled_from(["true", "yes", "1", "no", "maybe", ""]),
     "color": st.just("1"),
@@ -127,5 +129,22 @@ def test_grid(stanzas, sep):
     assert all(isinstance(spec, RunSpec) for spec in specs)
     for line in text.splitlines():
         key, _, val = line.partition("=")
-        if key.strip() in ("t", "k", "v", "seed") and not line.strip().startswith("#"):
+        if line.strip().startswith("#"):
+            continue
+        if key.strip() in ("t", "k", "v", "seed"):
             assert decimal(val.strip())
+        if key.strip() == "r_mult":
+            assert val.isascii() and "_" not in val
+
+
+@FUZZ
+@given(GRID_VALUES["r_mult"])
+def test_grid_r_mult(val):
+    """One valid stanza with only ``r_mult`` drawn, so that every spelling
+    reaches the parser."""
+    try:
+        (spec,) = parse_grid(f"t=2\nk=5\nv=2\nr_mult={val}\n")
+    except ValueError:
+        return
+    assert val.strip().isascii() and "_" not in val
+    assert spec.r_multiplier == float(val)

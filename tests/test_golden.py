@@ -21,8 +21,7 @@ import pytest
 
 from caforge import (BoundReport, GroupKind, Parameters, RunSpec, bound_report,
                      build_incompat_graph, color_cover, first_stage_n,
-                     mt_construct, mt_first_stage, rand_first_stage, run,
-                     uncovered_list)
+                     mt_construct, mt_first_stage, rand_first_stage, run)
 from caforge.groups import field_for, prime_power, symbol_maps
 from caforge.pipeline import STAGE1_KINDS, STAGE2_KINDS, group_rho
 from caforge.stage2 import smallest_last_order
@@ -100,8 +99,7 @@ def mt_values(key):
     if group is GroupKind.TRIVIAL:
         array, report = mt_first_stage(p, seed=seed)
     else:
-        array = mt_construct(p, group, seed=seed)
-        report = uncovered_list(array, p, group)
+        array, report = mt_construct(p, group, seed=seed)
     items = [(item.columns, item.symbols) for item in report.uncovered]
     return (array_digest(array), hashlib.sha256(repr(items).encode()).hexdigest(),
             report.uncovered_count, report.truncated)

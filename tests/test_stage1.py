@@ -1,15 +1,22 @@
+import math
+
 import numpy as np
 import pytest
 
 from caforge import (
     GroupKind,
+    IterationCapExceeded,
     Parameters,
     RetriesExhausted,
+    RunSpec,
+    coverage,
     develop,
     mt_construct,
     mt_first_stage,
     mt_row_count,
     rand_first_stage,
+    run,
+    stage1,
     uncovered_list,
     verify_covering_array,
 )
@@ -82,20 +89,21 @@ class TestMtConstruct:
     @pytest.mark.parametrize("group", list(GroupKind))
     def test_developed_array_covers(self, group):
         p = Parameters(2, 5, 3)
-        array = mt_construct(p, group, seed=1)
+        array, report = mt_construct(p, group, seed=1)
+        assert report.uncovered == [] and not report.truncated
         assert uncovered_list(array, p, group=group).uncovered_count == 0
         dev = develop(array, group, p.v)
         assert verify_covering_array(dev, p)
 
     def test_row_count_matches_formula(self):
         p = Parameters(2, 5, 2)
-        array = mt_construct(p, GroupKind.TRIVIAL, seed=0)
+        array, _ = mt_construct(p, GroupKind.TRIVIAL, seed=0)
         assert array.shape == (mt_row_count(p, GroupKind.TRIVIAL), 5)
 
     def test_reproducible(self):
         p = Parameters(2, 4, 2)
-        a1 = mt_construct(p, GroupKind.CYCLIC, seed=9)
-        a2 = mt_construct(p, GroupKind.CYCLIC, seed=9)
+        a1, _ = mt_construct(p, GroupKind.CYCLIC, seed=9)
+        a2, _ = mt_construct(p, GroupKind.CYCLIC, seed=9)
         assert np.array_equal(a1, a2)
 
 
@@ -132,3 +140,54 @@ class TestMtFirstStage:
         n_opt, _ = lll_first_stage_n(p)
         array, _ = mt_first_stage(p, seed=0)
         assert array.shape == (n_opt, 5)
+
+
+class TestIterationCap:
+    """The cap counts resamples: a cap of c allows c of them, and the
+    (c+1)-th raises."""
+
+    def test_cap_trips_at_the_same_resample(self, monkeypatch):
+        p = Parameters(3, 8, 4)  # seed 1 resamples twice
+        uncapped, _ = mt_construct(p, GroupKind.CYCLIC, seed=1)
+        monkeypatch.setattr(stage1, "ITERATION_CAP", 1)
+        with pytest.raises(IterationCapExceeded, match="more than 1 resamples"):
+            mt_construct(p, GroupKind.CYCLIC, seed=1)
+        monkeypatch.setattr(stage1, "ITERATION_CAP", 2)
+        capped, _ = mt_construct(p, GroupKind.CYCLIC, seed=1)
+        assert np.array_equal(capped, uncapped)
+
+    def test_first_stage_cap_zero(self, monkeypatch):
+        monkeypatch.setattr(stage1, "ITERATION_CAP", 0)
+        with pytest.raises(IterationCapExceeded, match="more than 0 resamples"):
+            mt_first_stage(Parameters(2, 6, 3), seed=1)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Column t-sets passed to the per-t-set coverage kernel.  stage1 is
+    patched too, so that a private binding of the kernel there counts."""
+    calls, kernel = [], coverage._covered_mask
+
+    def counted(array, cols, table):
+        calls.append(cols)
+        return kernel(array, cols, table)
+
+    for module in (coverage, stage1):
+        monkeypatch.setattr(module, "_covered_mask", counted, raising=False)
+    return calls
+
+
+class TestOneScanPerPass:
+    """Moser-Tardos reports the leftovers of its own last pass, so no
+    finished array is scanned a second time."""
+
+    def test_first_stage(self, kernel_calls):
+        p = Parameters(4, 22, 3)  # seed 1 resamples nothing
+        mt_first_stage(p, seed=1)
+        assert len(kernel_calls) == math.comb(22, 4)
+
+    def test_pipeline_mt_construct(self, kernel_calls):
+        spec = RunSpec(p=Parameters(3, 7, 3), stage1="mt", group=GroupKind.FROBENIUS,
+                       seed=1)
+        run(spec)
+        assert len(kernel_calls) == math.comb(7, 3)
