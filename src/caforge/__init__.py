@@ -5,11 +5,9 @@ from .bounds import (
     bound_report,
     chromatic_estimate,
     coloring_two_stage_estimate,
-    cyclic_two_stage_bound,
     discrete_slj_bound,
     expected_incompat_edges,
     first_stage_n,
-    frobenius_two_stage_bound,
     gss_bound,
     lll_first_stage_n,
     lll_two_stage_bound,

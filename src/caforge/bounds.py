@@ -21,16 +21,12 @@ from .model import Parameters
 mp.dps = 40
 
 
-def _log_ratio(num: int, den: int):
-    return mp.log(mpf(num) / den)
-
-
 def _orbit_log_base(p: Parameters, group: GroupKind):
     """-ln(per-row miss probability of one full orbit) under the group: a
     random row hits a full orbit in |G| of the v^t tuples."""
     order, _, _ = group.shape(p.t, p.v)
     vt = p.v**p.t
-    return _log_ratio(vt, vt - order)
+    return mp.log(mpf(vt) / (vt - order))
 
 
 def _dep_degree(p: Parameters) -> int:
@@ -40,9 +36,8 @@ def _dep_degree(p: Parameters) -> int:
 
 def slj_bound(p: Parameters) -> float:
     """Single-stage randomized existence bound."""
-    vt = p.v**p.t
     num = mp.log(math.comb(p.k, p.t)) + p.t * mp.log(p.v)
-    return float(num / _log_ratio(vt, vt - 1))
+    return float(num / _orbit_log_base(p, GroupKind.TRIVIAL))
 
 
 def discrete_slj_bound(p: Parameters) -> int:
@@ -88,19 +83,8 @@ def gss_bound(p: Parameters) -> float:
     """Local-lemma existence bound; requires k >= 2t."""
     if p.k < 2 * p.t:
         raise ValueError("gss_bound requires k >= 2t")
-    vt = p.v**p.t
     num = mp.log(_dep_degree(p)) + p.t * mp.log(p.v) + 1
-    return float(num / _log_ratio(vt, vt - 1))
-
-
-def cyclic_two_stage_bound(p: Parameters) -> float:
-    """Two-stage bound for arrays developed over the cyclic symbol group."""
-    return two_stage_bound(p, GroupKind.CYCLIC)
-
-
-def frobenius_two_stage_bound(p: Parameters) -> float:
-    """Two-stage bound for arrays developed over the Frobenius group."""
-    return two_stage_bound(p, GroupKind.FROBENIUS)
+    return float(num / _orbit_log_base(p, GroupKind.TRIVIAL))
 
 
 def _conflict_pairs(p: Parameters, i: int) -> int:
@@ -185,7 +169,7 @@ def lll_two_stage_bound(p: Parameters) -> float:
     if p.k < 2 * p.t:
         raise ValueError("lll_two_stage_bound requires k >= 2t")
     vt, eta, dep = p.v**p.t, math.comb(p.k, p.t), _dep_degree(p)
-    L = _log_ratio(vt, vt - 1)
+    L = _orbit_log_base(p, GroupKind.TRIVIAL)
     m_opt = mpf(eta) * vt * L / dep
     if m_opt > vt:
         raise ValueError(
@@ -217,7 +201,7 @@ class BoundReport:
 
 def bound_report(p: Parameters) -> BoundReport:
     gss = gss_bound(p) if p.k >= 2 * p.t else None
-    frob = frobenius_two_stage_bound(p) if prime_power(p.v) else None
+    frob = two_stage_bound(p, GroupKind.FROBENIUS) if prime_power(p.v) else None
     try:
         lll = lll_two_stage_bound(p)
     except ValueError:
@@ -227,7 +211,7 @@ def bound_report(p: Parameters) -> BoundReport:
         discrete_slj=discrete_slj_bound(p),
         two_stage=two_stage_bound(p),
         gss=gss,
-        cyclic_two_stage=cyclic_two_stage_bound(p),
+        cyclic_two_stage=two_stage_bound(p, GroupKind.CYCLIC),
         frobenius_two_stage=frob,
         lll_two_stage=lll,
         optimistic_coloring=coloring_two_stage_estimate(p, "optimistic"),

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -24,12 +25,6 @@ from .pipeline import (STAGE1_KINDS, STAGE2_KINDS, RunSpec, VerificationFailed,
 from .stage1 import IterationCapExceeded, RetriesExhausted
 
 REPORT_SCHEMA = "ca-forge/1"
-
-CSV_HEADER = [
-    "t", "k", "v", "group", "stage1", "stage2", "r_mult", "seed",
-    "n_stage1", "uncovered", "rows_stage2", "N_final", "bound",
-    "verified", "seconds",
-]
 
 EXIT_OK = 0
 EXIT_NOT_COVERING = 1
@@ -104,7 +99,14 @@ def parse_array_file(text: str):
 
 
 def _bound_row(p: Parameters) -> dict:
-    return {"t": p.t, "k": p.k, "v": p.v, **asdict(bounds.bound_report(p))}
+    return {**asdict(p), **asdict(bounds.bound_report(p))}
+
+
+def _write_csv(fh, rows) -> None:
+    """One header, the first row's keys, then every row."""
+    writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+    writer.writeheader()
+    writer.writerows(rows)
 
 
 def cmd_construct(args) -> int:
@@ -117,6 +119,8 @@ def cmd_construct(args) -> int:
         )
         for path in filter(None, (args.out, args.report)):
             open(path, "a").close()  # fails before the run; never truncates
+        if args.out and args.report and os.path.samefile(args.out, args.report):
+            raise ValueError("--out and --report name the same file")
     except (ValueError, OSError) as exc:
         return _usage_error(exc)
     try:
@@ -173,9 +177,7 @@ def cmd_bounds(args) -> int:
         json.dump(rows, sys.stdout, indent=2)
         print()
     else:
-        writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
+        _write_csv(sys.stdout, rows)
     return EXIT_OK
 
 
@@ -234,14 +236,14 @@ def cmd_benchmark(args) -> int:
         return EXIT_USAGE
     try:
         open(args.out, "a").close()  # fails before the run; never truncates
-    except OSError as exc:
+        if os.path.samefile(args.grid, args.out):
+            raise ValueError("--grid and --out name the same file")
+    except (ValueError, OSError) as exc:
         return _usage_error(exc)
     rows = benchmark(grid)
     try:
         with open(args.out, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=CSV_HEADER)
-            writer.writeheader()
-            writer.writerows(rows)
+            _write_csv(fh, rows)
     except OSError as exc:
         return _usage_error(exc)
     print(f"wrote {len(rows)} rows to {args.out}")

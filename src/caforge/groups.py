@@ -17,17 +17,15 @@ import numpy as np
 
 from .model import Parameters
 
-# Fixed irreducible polynomials for the small extension fields, written as
-# coefficient lists [c0, c1, ..., 1] of c0 + c1*x + ... + x^e.  Any monic
-# irreducible gives an isomorphic field; fixing one makes outputs reproducible.
+# Irreducible moduli, as coefficient lists [c0, c1, ..., 1] of
+# c0 + c1*x + ... + x^e, kept because they differ from the first one that
+# ``field_for`` finds by search.  Any monic irreducible gives an isomorphic
+# field; fixing one makes outputs reproducible.
 _IRREDUCIBLE = {
-    4: [1, 1, 1],            # x^2 + x + 1 over GF(2)
-    8: [1, 1, 0, 1],         # x^3 + x + 1
-    9: [1, 0, 1],            # x^2 + 1 over GF(3)
-    16: [1, 1, 0, 0, 1],     # x^4 + x + 1
+    8: [1, 1, 0, 1],         # x^3 + x + 1 over GF(2)
+    16: [1, 1, 0, 0, 1],     # x^4 + x + 1 over GF(2)
     25: [3, 0, 1],           # x^2 + 3 over GF(5)
-    27: [1, 2, 0, 1],        # x^3 + 2x + 1
-    49: [1, 0, 1],           # x^2 + 1 over GF(7)
+    27: [1, 2, 0, 1],        # x^3 + 2x + 1 over GF(3)
 }
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -60,11 +60,6 @@ class RunReport:
     verified: object  # True or "skipped"; a failed check raises VerificationFailed
 
 
-def predicted_bound(spec: RunSpec) -> float:
-    """The closed-form size bound matching the run's group (at r = rho)."""
-    return bounds.two_stage_bound(spec.p, spec.group)
-
-
 def group_rho(p: Parameters, group: GroupKind) -> float:
     """Expected uncovered orbits at the optimal first-stage size."""
     return float(1 / bounds._orbit_log_base(p, group))
@@ -111,7 +106,7 @@ def run(spec: RunSpec):
         uncovered_after_stage1=report.uncovered_count,
         rows_stage2=extra.shape[0],
         N_final=developed.shape[0],
-        bound_predicted=predicted_bound(spec),
+        bound_predicted=bounds.two_stage_bound(p, group),
         retries=retries,
         wall_time=time.perf_counter() - start,
         verified=True if spec.verify else "skipped",
@@ -120,33 +115,23 @@ def run(spec: RunSpec):
 
 
 def benchmark(grid):
-    """Run every spec in the grid; one result dict per spec, in grid order.
+    """Run every spec in the grid; one row per spec, in grid order: the spec
+    under its grid keys, then the ``RunReport`` fields.
 
-    Per-run errors are recorded in the row (verified column) and do not stop
-    the sweep.
+    A run that raises leaves its report cells empty and records the error in
+    ``verified``; it does not stop the sweep.
     """
     if not grid:
         raise ValueError("benchmark grid must be nonempty")
     rows = []
     for spec in grid:
-        base = {
-            "t": spec.p.t, "k": spec.p.k, "v": spec.p.v,
-            "group": spec.group.value, "stage1": spec.stage1,
-            "stage2": spec.stage2, "r_mult": spec.r_multiplier,
-            "seed": spec.seed,
-        }
+        row = {**asdict(spec.p), "group": spec.group.value, "stage1": spec.stage1,
+               "stage2": spec.stage2, "r_mult": spec.r_multiplier,
+               "seed": spec.seed, "verify": spec.verify}
         try:
-            _, rep = run(spec)
-            base.update(
-                n_stage1=rep.n_stage1, uncovered=rep.uncovered_after_stage1,
-                rows_stage2=rep.rows_stage2, N_final=rep.N_final,
-                bound=rep.bound_predicted, verified=rep.verified,
-                seconds=round(rep.wall_time, 6),
-            )
+            row.update(asdict(run(spec)[1]))
         except Exception as exc:  # noqa: BLE001 - recorded per row
-            base.update(
-                n_stage1="", uncovered="", rows_stage2="", N_final="",
-                bound="", verified=f"error:{type(exc).__name__}: {exc}", seconds="",
-            )
-        rows.append(base)
+            row.update(dict.fromkeys((f.name for f in fields(RunReport)), ""),
+                       verified=f"error:{type(exc).__name__}: {exc}")
+        rows.append(row)
     return rows

@@ -24,10 +24,10 @@ from caforge import (
     density_cover,
     discrete_slj_bound,
     expected_incompat_edges,
-    frobenius_two_stage_bound,
     lll_first_stage_n,
     run,
     slj_bound,
+    two_stage_bound,
     uncovered_list,
     verify_covering_array,
 )
@@ -86,7 +86,7 @@ def test_criterion_1_frobenius_v5_table_value():
     # Counting all q = v^(t-1) tuples as orbits instead of (q-1)/(v-1) gives
     # 248225.7 and fails here; dropping the v constant rows (226568.7) is
     # caught by the v=3 entry in test_criterion_1_bound_regression.
-    value = frobenius_two_stage_bound(Parameters(6, 31, 5))
+    value = two_stage_bound(Parameters(6, 31, 5), GroupKind.FROBENIUS)
     assert round(value, -1) == 226570
     print("criterion 1 (frobenius v=5 table value): PASS")
 

@@ -9,11 +9,9 @@ from caforge import (
     build_incompat_graph,
     chromatic_estimate,
     coloring_two_stage_estimate,
-    cyclic_two_stage_bound,
     discrete_slj_bound,
     expected_incompat_edges,
     first_stage_n,
-    frobenius_two_stage_bound,
     gss_bound,
     lll_first_stage_n,
     lll_two_stage_bound,
@@ -132,28 +130,28 @@ class TestGss:
 class TestGroupBounds:
     @pytest.mark.parametrize("k,expected", [(53, 13059), (57, 13393)])
     def test_cyclic_reference(self, k, expected):
-        assert abs(cyclic_two_stage_bound(Parameters(6, k, 3)) - expected) <= 1
+        value = two_stage_bound(Parameters(6, k, 3), GroupKind.CYCLIC)
+        assert abs(value - expected) <= 1
 
     def test_cyclic_small(self):
         expected = 2 * (
             math.log(3) + math.log(2) + math.log(math.log(2)) + 1
         ) / math.log(2)
-        assert cyclic_two_stage_bound(Parameters(2, 3, 2)) == pytest.approx(
-            expected, rel=1e-12
-        )
+        value = two_stage_bound(Parameters(2, 3, 2), GroupKind.CYCLIC)
+        assert value == pytest.approx(expected, rel=1e-12)
 
     def test_frobenius_reference_v3(self):
-        assert abs(frobenius_two_stage_bound(Parameters(6, 53, 3)) - 13034) <= 1
+        value = two_stage_bound(Parameters(6, 53, 3), GroupKind.FROBENIUS)
+        assert abs(value - 13034) <= 1
 
     def test_frobenius_v5_regression(self):
         # Frozen value of the closed form; the reference table rounds to tens.
-        assert frobenius_two_stage_bound(Parameters(6, 31, 5)) == pytest.approx(
-            226573.74, abs=0.05
-        )
+        value = two_stage_bound(Parameters(6, 31, 5), GroupKind.FROBENIUS)
+        assert value == pytest.approx(226573.74, abs=0.05)
 
     def test_frobenius_rejects_non_prime_power(self):
         with pytest.raises(ValueError):
-            frobenius_two_stage_bound(Parameters(6, 53, 6))
+            two_stage_bound(Parameters(6, 53, 6), GroupKind.FROBENIUS)
 
 
 class TestIncompatEdges:

@@ -1,14 +1,14 @@
 import csv
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from pathlib import Path
 
-from caforge import Parameters, cli, pipeline, stage1, verify_covering_array
+from caforge import Parameters, RunReport, cli, pipeline, stage1, verify_covering_array
 from caforge.cli import (
-    CSV_HEADER,
     EXIT_CONSTRUCTION,
     EXIT_NOT_COVERING,
     EXIT_OK,
@@ -85,6 +85,7 @@ class TestConstructCommand:
         assert doc["schema"] == "ca-forge/1"
         assert doc["verified"] is True
         assert doc["N_final"] == array.shape[0]
+        assert list(doc) == ["schema", *(f.name for f in fields(RunReport))]
         assert "N=" in capsys.readouterr().out
 
     def test_bad_parameters_usage_error(self, capsys):
@@ -230,6 +231,9 @@ class TestGridParsing:
             parse_grid(text)
 
 
+GRID_KEYS = ["t", "k", "v", "group", "stage1", "stage2", "r_mult", "seed", "verify"]
+
+
 class TestBenchmarkCommand:
     def test_writes_csv(self, tmp_path, capsys):
         grid = tmp_path / "grid.txt"
@@ -243,9 +247,28 @@ class TestBenchmarkCommand:
             reader = csv.reader(fh)
             header = next(reader)
             rows = list(reader)
-        assert header == CSV_HEADER
+        assert header == [
+            "t", "k", "v", "group", "stage1", "stage2", "r_mult", "seed", "verify",
+            "n_stage1", "uncovered_after_stage1", "rows_stage2", "N_final",
+            "bound_predicted", "retries", "wall_time", "verified",
+        ]
+        assert header == [*GRID_KEYS, *(f.name for f in fields(RunReport))]
         assert len(rows) == 2
         assert all(row[header.index("verified")] == "True" for row in rows)
+
+    def test_spec_columns_parse_back(self, tmp_path):
+        text = ("t=2\nk=5\nv=3\ngroup=cyclic\nstage2=greedy\nr_mult=2.5\n"
+                "seed=4\nverify=true\n\n"
+                "t=3\nk=6\nv=2\nstage1=mt\nstage2=den\nr_mult=0.5\n")
+        grid = tmp_path / "grid.txt"
+        grid.write_text(text)
+        out = tmp_path / "results.csv"
+        assert main(["benchmark", "--grid", str(grid), "--out", str(out)]) == EXIT_OK
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        stanzas = ["".join(f"{key}={row[key]}\n" for key in GRID_KEYS) for row in rows]
+        assert parse_grid("\n".join(stanzas)) == parse_grid(text)
+        assert parse_grid(stanzas[0])[0].verify is True
 
     def test_malformed_grid(self, tmp_path, capsys):
         grid = tmp_path / "grid.txt"
@@ -342,13 +365,18 @@ class TestExitCodes:
         (EXIT_CONSTRUCTION, ["construct", "--t", "2", "--k", "6", "--v", "3",
                              "--stage1", "mt", "--seed", "1"],
          (stage1, "ITERATION_CAP", 0), "construction failed"),
+        (EXIT_USAGE, ["construct", "--t", "2", "--k", "4", "--v", "2",
+                      "--out", "{out}", "--report", "{out_alias}"],
+         (cli, "run", _must_not_run), "same file"),
+        (EXIT_USAGE, ["benchmark", "--grid", "{grid}", "--out", "{grid_alias}"],
+         (cli, "benchmark", _must_not_run), "same file"),
     ], ids=["ok", "not-covering", "symbol-beyond-int64", "k-beyond-int64", "usage",
             "r-mult-nan", "r-mult-inf", "r-mult-1e308", "construction", "verify",
             "non-decimal-symbols", "not-utf8", "out-unwritable", "report-unwritable",
             "benchmark-out-unwritable", "underscore-k-flag", "arabic-v-flag",
             "arabic-seed-flag", "arabic-bounds-k-flag", "plus-k-max-flag",
             "arabic-verify-t-flag", "arabic-r-mult-flag", "underscore-r-mult-flag",
-            "mt-iteration-cap"])
+            "mt-iteration-cap", "out-is-report", "out-is-grid"])
     def test_reachable(self, tmp_path, monkeypatch, capsys, code, argv, patch, err):
         files = {"bad": "CA 2 3 2 2\n0 0 0\n1 1 1\n",
                  "huge": "CA 1 2 2 2\n0 99999999999999999999\n",
@@ -363,5 +391,9 @@ class TestExitCodes:
             monkeypatch.setattr(*patch)
         paths = {name: tmp_path / f"{name}.txt" for name in files}
         paths["missing"] = tmp_path / "nonexistent" / "a.txt"
+        paths["out"] = tmp_path / "out.txt"
+        paths["out_alias"] = f"{tmp_path}/./out.txt"
+        paths["grid_alias"] = f"{tmp_path}/./grid.txt"
         assert main([a.format(**paths) for a in argv]) == code
         assert err in capsys.readouterr().err
+        assert paths["grid"].read_text() == files["grid"]

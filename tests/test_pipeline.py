@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
-from caforge import GroupKind, Parameters, RunSpec, benchmark, run
-from caforge.pipeline import group_rho, predicted_bound
+import csv
+import io
+from dataclasses import fields
+
+from caforge import (GroupKind, Parameters, RunReport, RunSpec, benchmark, run,
+                     two_stage_bound)
+from caforge.cli import _write_csv
+from caforge.pipeline import group_rho
 from conftest import brute_uncovered
 
 
@@ -47,19 +53,10 @@ class TestGroupRho:
 
 class TestPredictedBound:
     def test_dispatch(self):
-        from caforge import (
-            cyclic_two_stage_bound,
-            frobenius_two_stage_bound,
-            two_stage_bound,
-        )
         p = Parameters(2, 8, 3)
-        assert predicted_bound(RunSpec(p=p)) == two_stage_bound(p)
-        assert predicted_bound(
-            RunSpec(p=p, group=GroupKind.CYCLIC)
-        ) == cyclic_two_stage_bound(p)
-        assert predicted_bound(
-            RunSpec(p=p, group=GroupKind.FROBENIUS)
-        ) == frobenius_two_stage_bound(p)
+        for group in GroupKind:
+            _, rep = run(RunSpec(p=p, group=group))
+            assert rep.bound_predicted == two_stage_bound(p, group)
 
 
 class TestRun:
@@ -142,6 +139,23 @@ class TestBenchmark:
         assert rows[1]["verified"] == (
             "error:ValueError: lll_first_stage_n requires k >= 2t")
         assert rows[0]["N_final"] >= 1 and rows[2]["N_final"] >= 1
+
+    def test_error_row_has_every_column(self):
+        good = RunSpec(p=Parameters(2, 5, 2), seed=0)
+        bad = RunSpec(p=Parameters(3, 5, 2), seed=0)
+        object.__setattr__(bad, "stage1", "mt")
+        fh = io.StringIO()
+        _write_csv(fh, benchmark([bad, good]))
+        lines = fh.getvalue().splitlines()
+        assert len(lines) == 3 and lines.count(lines[0]) == 1
+        error, ok = csv.DictReader(lines)
+        report = [f.name for f in fields(RunReport)]
+        assert list(error) == [
+            "t", "k", "v", "group", "stage1", "stage2", "r_mult", "seed", "verify",
+            *report]
+        assert error["verified"].startswith("error:ValueError: ")
+        assert all(error[name] == "" for name in report if name != "verified")
+        assert all(ok[name] != "" for name in report)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
