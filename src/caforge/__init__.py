@@ -8,6 +8,7 @@ from .bounds import (
     discrete_slj_bound,
     expected_incompat_edges,
     first_stage_n,
+    group_rho,
     gss_bound,
     lll_first_stage_n,
     lll_two_stage_bound,
@@ -15,21 +16,18 @@ from .bounds import (
     two_stage_bound,
 )
 from .coverage import uncovered_list, verify_covering_array
-from .groups import GroupKind, develop, orbit_count
-from .model import FLEXIBLE, CoverageReport, Interaction, Parameters
+from .groups import GroupKind, develop
+from .model import FLEXIBLE, CoverageReport, Interaction, Parameters, VerificationFailed
 from .pipeline import RunReport, RunSpec, benchmark, run
 from .stage1 import (
     IterationCapExceeded,
     RetriesExhausted,
     mt_construct,
     mt_first_stage,
-    mt_row_count,
     rand_first_stage,
 )
 from .stage2 import (
-    GuaranteeViolated,
     IncompatibilityGraph,
-    InconsistentClass,
     build_incompat_graph,
     color_cover,
     density_cover,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import mp, mpf
 
-from .groups import GroupKind, orbit_count, prime_power
+from .groups import GroupKind, prime_power
 from .model import Parameters
 
 mp.dps = 40
@@ -32,6 +32,11 @@ def _orbit_log_base(p: Parameters, group: GroupKind):
 def _dep_degree(p: Parameters) -> int:
     """Column t-sets sharing at least one column with a fixed t-set."""
     return math.comb(p.k, p.t) - math.comb(p.k - p.t, p.t)
+
+
+def group_rho(p: Parameters, group: GroupKind) -> float:
+    """Expected uncovered orbits at the optimal first-stage size."""
+    return float(1 / _orbit_log_base(p, group))
 
 
 def slj_bound(p: Parameters) -> float:
@@ -71,7 +76,7 @@ def first_stage_n(p: Parameters, group: GroupKind, target_uncovered: float) -> i
     ``target_uncovered``."""
     if target_uncovered <= 0:
         raise ValueError("target_uncovered must be positive")
-    full, _ = orbit_count(p, group)
+    full = math.comb(p.k, p.t) * group.shape(p.t, p.v)[1]
     if target_uncovered >= full:
         warnings.warn("target_uncovered >= total orbit count; no rows needed")
         return 0
@@ -79,12 +84,16 @@ def first_stage_n(p: Parameters, group: GroupKind, target_uncovered: float) -> i
     return int(mp.ceil(mp.log(mpf(full) / mpf(target_uncovered)) / L))
 
 
-def gss_bound(p: Parameters) -> float:
-    """Local-lemma existence bound; requires k >= 2t."""
+def gss_bound(p: Parameters, group: GroupKind = GroupKind.TRIVIAL) -> float:
+    """Local-lemma existence bound for an array developed over ``group``:
+    (ln d + ln F + 1) / L, where d counts the column t-sets sharing a column
+    with a fixed one and F, L are as in ``two_stage_bound``.  Its ceiling is
+    the Moser-Tardos row count.  Requires k >= 2t."""
     if p.k < 2 * p.t:
         raise ValueError("gss_bound requires k >= 2t")
-    num = mp.log(_dep_degree(p)) + p.t * mp.log(p.v) + 1
-    return float(num / _orbit_log_base(p, GroupKind.TRIVIAL))
+    _, full, _ = group.shape(p.t, p.v)
+    num = mp.log(_dep_degree(p)) + mp.log(full) + 1
+    return float(num / _orbit_log_base(p, group))
 
 
 def _conflict_pairs(p: Parameters, i: int) -> int:

@@ -19,9 +19,8 @@ import numpy as np
 from . import bounds
 from .coverage import uncovered_list
 from .groups import GroupKind
-from .model import Parameters
-from .pipeline import (STAGE1_KINDS, STAGE2_KINDS, RunSpec, VerificationFailed,
-                       benchmark, run)
+from .model import Parameters, VerificationFailed
+from .pipeline import STAGE1_KINDS, STAGE2_KINDS, RunSpec, benchmark, run
 from .stage1 import IterationCapExceeded, RetriesExhausted
 
 REPORT_SCHEMA = "ca-forge/1"
@@ -125,8 +124,8 @@ def cmd_construct(args) -> int:
         return _usage_error(exc)
     try:
         array, rep = run(spec)
-    except (RetriesExhausted, IterationCapExceeded) as exc:
-        print(f"construction failed: {exc}", file=sys.stderr)
+    except (RetriesExhausted, IterationCapExceeded, MemoryError) as exc:
+        print(f"construction failed: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_CONSTRUCTION
     except VerificationFailed as exc:
         print(f"verification failed: {exc}", file=sys.stderr)

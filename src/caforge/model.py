@@ -47,6 +47,12 @@ class Interaction:
             raise ValueError("columns must be strictly increasing")
 
 
+class VerificationFailed(Exception):
+    """A self-check failed (always a bug): a developed array misses an
+    interaction, a color class fixes a column to two symbols, or a density
+    row covers fewer items than its guarantee."""
+
+
 @dataclass
 class CoverageReport:
     """Uncovered interactions (or orbit representatives) found in an array.

@@ -13,12 +13,7 @@ from . import bounds, stage1, stage2
 # perfbench traces pipeline.uncovered_list, so the name stays imported.
 from .coverage import uncovered_list, verify_covering_array  # noqa: F401
 from .groups import GroupKind, develop
-from .model import Parameters
-
-
-class VerificationFailed(Exception):
-    """The final developed array misses an interaction (always a bug)."""
-
+from .model import Parameters, VerificationFailed
 
 STAGE1_KINDS = ("rand", "mt")
 STAGE2_KINDS = ("naive", "greedy", "col", "den")
@@ -43,8 +38,8 @@ class RunSpec:
             raise ValueError("mt first stage requires k >= 2t")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        self.group.shape(self.p.t, self.p.v)  # rejects Frobenius without a prime power
-        if not 0 < self.r_multiplier * group_rho(self.p, self.group) < math.inf:
+        # group_rho rejects Frobenius without a prime power
+        if not 0 < self.r_multiplier * bounds.group_rho(self.p, self.group) < math.inf:
             raise ValueError("r_multiplier must be positive and give a finite r")
 
 
@@ -60,17 +55,11 @@ class RunReport:
     verified: object  # True or "skipped"; a failed check raises VerificationFailed
 
 
-def group_rho(p: Parameters, group: GroupKind) -> float:
-    """Expected uncovered orbits at the optimal first-stage size."""
-    return float(1 / bounds._orbit_log_base(p, group))
-
-
 def run(spec: RunSpec):
     """Execute the two-stage pipeline; returns (developed array, report)."""
     p, group = spec.p, spec.group
     start = time.perf_counter()
-    rho = group_rho(p, group)
-    r = spec.r_multiplier * rho
+    r = spec.r_multiplier * bounds.group_rho(p, group)
     retries = 0
 
     if spec.stage1 == "rand":

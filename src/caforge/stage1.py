@@ -8,8 +8,9 @@ tuples by mixed-radix rank, so resampling revisits them in a fixed order.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from mpmath import mp
 
 from . import bounds
 from .coverage import iter_uncovered, uncovered_list
@@ -53,16 +54,6 @@ def rand_first_stage(p: Parameters, group: GroupKind, n: int, r: float,
     raise RetriesExhausted(f"no array with <= {r} uncovered orbits in {MAX_RETRIES} tries")
 
 
-def mt_row_count(p: Parameters, group: GroupKind) -> int:
-    """Rows for the resampling construction, with the per-orbit miss base
-    substituted for the chosen group."""
-    if p.k < 2 * p.t:
-        raise ValueError("Moser-Tardos construction requires k >= 2t")
-    _, full, _ = group.shape(p.t, p.v)
-    L = bounds._orbit_log_base(p, group)
-    return int(mp.ceil((mp.log(bounds._dep_degree(p)) + mp.log(full) + 1) / L))
-
-
 def _resample(p: Parameters, group: GroupKind, n: int, m: int, seed: int):
     """Moser-Tardos: draw n random rows, then resample the columns of the
     first uncovered orbit whose representative ranks below ``m``, until a
@@ -86,10 +77,11 @@ def _resample(p: Parameters, group: GroupKind, n: int, m: int, seed: int):
 def mt_construct(p: Parameters, group: GroupKind, seed: int = 0):
     """Resample the columns of the first uncovered orbit until none remains.
 
-    Returns (array, report).  The array covers every full orbit, so the
-    report is empty and developing the array yields a covering array.
+    Draws ceil(``bounds.gss_bound``) rows and returns (array, report).  The
+    array covers every full orbit, so the report is empty and developing the
+    array yields a covering array.  Raises ValueError when k < 2t.
     """
-    return _resample(p, group, mt_row_count(p, group), p.v**p.t, seed)
+    return _resample(p, group, math.ceil(bounds.gss_bound(p, group)), p.v**p.t, seed)
 
 
 def mt_first_stage(p: Parameters, seed: int = 0):

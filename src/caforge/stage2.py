@@ -18,15 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import GroupKind, orbit_table
-from .model import FLEXIBLE, Interaction, Parameters
-
-
-class InconsistentClass(Exception):
-    """A color class could not be merged into one row (commitment bug)."""
-
-
-class GuaranteeViolated(Exception):
-    """A density row covered fewer items than the derandomization guarantees."""
+from .model import FLEXIBLE, Interaction, Parameters, VerificationFailed
 
 
 def _agree(a, b) -> np.ndarray:
@@ -154,7 +146,7 @@ def color_cover(g: IncompatibilityGraph, p: Parameters, group: GroupKind,
     np.maximum.at(rows, color, items)
     clash = ~_agree(items, rows[color])
     if clash.any():
-        raise InconsistentClass(
+        raise VerificationFailed(
             f"color class {color[clash.argmax()]} fixes a column to two symbols"
         )
     return _fill_flexible(rows, p.v, rng), n_colors, degeneracy
@@ -193,8 +185,8 @@ def density_cover(uncovered, p: Parameters, group: GroupKind) -> np.ndarray:
             row[open_cols[best // p.v]] = best % p.v
         covered = _agree(items, row)
         if covered.sum() < -(-len(items) // p.v**p.t):
-            raise GuaranteeViolated(f"row covered {covered.sum()} of {len(items)} "
-                                    "items, fewer than ceil(u / v^t)")
+            raise VerificationFailed(f"row covered {covered.sum()} of {len(items)} "
+                                     "items, fewer than ceil(u / v^t)")
         items = items[~covered]
         out.append(row)
     return np.array(out, dtype=np.int64).reshape(-1, p.k)

@@ -31,8 +31,8 @@ from caforge import (
     uncovered_list,
     verify_covering_array,
 )
+from caforge.bounds import group_rho
 from caforge.cli import main
-from caforge.pipeline import group_rho
 from caforge.stage2 import smallest_last_order
 from conftest import brute_uncovered, exact_chromatic_number
 from test_bounds import dslj_oracle

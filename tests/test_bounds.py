@@ -19,8 +19,8 @@ from caforge import (
     two_stage_bound,
     uncovered_list,
 )
+from caforge.bounds import group_rho
 from caforge.groups import GroupKind
-from caforge.pipeline import group_rho
 
 
 def dslj_oracle(t, k, v):

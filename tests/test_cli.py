@@ -7,7 +7,8 @@ import pytest
 
 from pathlib import Path
 
-from caforge import Parameters, RunReport, cli, pipeline, stage1, verify_covering_array
+from caforge import (IncompatibilityGraph, Parameters, RunReport, cli, pipeline, stage1,
+                     stage2, verify_covering_array)
 from caforge.cli import (
     EXIT_CONSTRUCTION,
     EXIT_NOT_COVERING,
@@ -315,6 +316,20 @@ def _must_not_run(*args, **kwargs):
     pytest.fail("ran before the output path was found unwritable")
 
 
+def _raise_memory(*args, **kwargs):
+    raise MemoryError
+
+
+_build_incompat_graph = stage2.build_incompat_graph
+
+
+def _graph_without_edges(*args):
+    """The real committed rows with every conflict edge dropped, so that
+    clashing items can land in one color class."""
+    rows = _build_incompat_graph(*args).rows
+    return IncompatibilityGraph(rows, np.zeros((len(rows), len(rows)), dtype=bool))
+
+
 class TestExitCodes:
     """Every documented exit status is reachable from the command line."""
 
@@ -370,13 +385,20 @@ class TestExitCodes:
          (cli, "run", _must_not_run), "same file"),
         (EXIT_USAGE, ["benchmark", "--grid", "{grid}", "--out", "{grid_alias}"],
          (cli, "benchmark", _must_not_run), "same file"),
+        (EXIT_VERIFY, ["construct", "--t", "2", "--k", "4", "--v", "2",
+                       "--stage2", "col", "--r-mult", "4"],
+         (stage2, "build_incompat_graph", _graph_without_edges),
+         "verification failed: color class"),
+        (EXIT_CONSTRUCTION, ["construct", "--t", "2", "--k", "4", "--v", "2"],
+         (cli, "run", _raise_memory), "construction failed: MemoryError"),
     ], ids=["ok", "not-covering", "symbol-beyond-int64", "k-beyond-int64", "usage",
             "r-mult-nan", "r-mult-inf", "r-mult-1e308", "construction", "verify",
             "non-decimal-symbols", "not-utf8", "out-unwritable", "report-unwritable",
             "benchmark-out-unwritable", "underscore-k-flag", "arabic-v-flag",
             "arabic-seed-flag", "arabic-bounds-k-flag", "plus-k-max-flag",
             "arabic-verify-t-flag", "arabic-r-mult-flag", "underscore-r-mult-flag",
-            "mt-iteration-cap", "out-is-report", "out-is-grid"])
+            "mt-iteration-cap", "out-is-report", "out-is-grid", "col-class-clash",
+            "out-of-memory"])
     def test_reachable(self, tmp_path, monkeypatch, capsys, code, argv, patch, err):
         files = {"bad": "CA 2 3 2 2\n0 0 0\n1 1 1\n",
                  "huge": "CA 1 2 2 2\n0 99999999999999999999\n",

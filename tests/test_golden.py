@@ -22,8 +22,9 @@ import pytest
 from caforge import (BoundReport, GroupKind, Parameters, RunSpec, bound_report,
                      build_incompat_graph, color_cover, first_stage_n,
                      mt_construct, mt_first_stage, rand_first_stage, run)
+from caforge.bounds import group_rho
 from caforge.groups import field_for, prime_power, symbol_maps
-from caforge.pipeline import STAGE1_KINDS, STAGE2_KINDS, group_rho
+from caforge.pipeline import STAGE1_KINDS, STAGE2_KINDS
 from caforge.stage2 import smallest_last_order
 
 

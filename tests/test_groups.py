@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from caforge import GroupKind, Parameters, develop, orbit_count
+from caforge import GroupKind, Parameters, develop, first_stage_n
 from caforge.groups import OrbitTable, field_for, orbit_table, prime_power
 
 
@@ -118,21 +118,24 @@ class TestOrbitCount:
         for tup in itertools.product(range(v), repeat=t):
             orbit = orbit_index(group, tup, v)
             (shorts if orbit < 0 else canon).add(orbit)
-        p = Parameters(t, max(t, 2 * t), v)
-        eta = len(list(itertools.combinations(range(p.k), t)))
-        assert orbit_count(p, group) == (eta * len(canon), eta * len(shorts))
+        _, full, constant_rows = group.shape(t, v)
+        assert full == len(canon)
+        assert bool(constant_rows) == bool(shorts)
 
     def test_reference_scale(self):
         # With the Frobenius action at t=6, v=3 each column set carries
-        # (3^5 - 1) / 2 = 121 full orbits.
-        full, short = orbit_count(Parameters(6, 56, 3), GroupKind.FROBENIUS)
+        # (3^5 - 1) / 2 = 121 full orbits; first_stage_n needs no rows once
+        # the target reaches all C(56, 6) * 121 of them.
+        p = Parameters(6, 56, 3)
         eta = 32468436
-        assert full == eta * 121
-        assert short == eta
+        assert GroupKind.FROBENIUS.shape(p.t, p.v)[1] == 121
+        with pytest.warns(UserWarning, match="no rows needed"):
+            assert first_stage_n(p, GroupKind.FROBENIUS, eta * 121) == 0
+        assert first_stage_n(p, GroupKind.FROBENIUS, eta * 121 - 1) > 0
 
     def test_frobenius_needs_prime_power(self):
         with pytest.raises(ValueError):
-            orbit_count(Parameters(2, 4, 6), GroupKind.FROBENIUS)
+            first_stage_n(Parameters(2, 4, 6), GroupKind.FROBENIUS, 1.0)
         with pytest.raises(ValueError, match="prime-power v, got 6"):
             GroupKind.FROBENIUS.shape(2, 6)
 
@@ -244,10 +247,7 @@ class TestOrbitTable:
     ])
     def test_partition(self, group, t, v):
         tbl = OrbitTable(t, v, group)
-        full, short = orbit_count(Parameters(t, max(2, t), v), group)
-        import math
-        eta = math.comb(max(2, t), t)
-        assert tbl.n_orbits == full // eta
+        assert tbl.n_orbits == group.shape(t, v)[1]
         # members partition the ranks not marked short
         seen = np.concatenate(tbl.members) if tbl.members else np.array([])
         assert len(seen) == len(set(seen.tolist()))

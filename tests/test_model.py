@@ -3,8 +3,7 @@ import math
 import pytest
 
 from caforge import GroupKind, Parameters
-from caforge.bounds import _dep_degree
-from caforge.pipeline import group_rho
+from caforge.bounds import _dep_degree, group_rho
 
 
 class TestParameters:

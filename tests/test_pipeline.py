@@ -7,8 +7,8 @@ from dataclasses import fields
 
 from caforge import (GroupKind, Parameters, RunReport, RunSpec, benchmark, run,
                      two_stage_bound)
+from caforge.bounds import group_rho
 from caforge.cli import _write_csv
-from caforge.pipeline import group_rho
 from conftest import brute_uncovered
 
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -13,15 +15,14 @@ from caforge import (
     develop,
     mt_construct,
     mt_first_stage,
-    mt_row_count,
     rand_first_stage,
     run,
     stage1,
     uncovered_list,
     verify_covering_array,
 )
-from caforge.bounds import first_stage_n, lll_first_stage_n
-from caforge.pipeline import group_rho
+from caforge.bounds import first_stage_n, group_rho, gss_bound, lll_first_stage_n
+from caforge.groups import prime_power
 
 
 class TestRandFirstStage:
@@ -69,20 +70,41 @@ class TestRandFirstStage:
             rand_first_stage(p, GroupKind.TRIVIAL, 10, -1.0)
 
 
+def mt_rows(p, group):
+    """The Moser-Tardos row count: the ceiling of the group's GSS bound."""
+    return math.ceil(gss_bound(p, group))
+
+
+# sha256 of the JSON list of row counts below, recorded from the formula's
+# earlier standalone form in stage1.
+MT_ROWS_DIGEST = "bbd429cf93ffef5017526183aed613c15edde5400015ce17112fbae117ebf22b"
+
+
 class TestMtRowCount:
     def test_reference_frobenius(self):
-        assert mt_row_count(Parameters(6, 56, 3), GroupKind.FROBENIUS) == 2713
+        assert mt_rows(Parameters(6, 56, 3), GroupKind.FROBENIUS) == 2713
 
     def test_group_order_shrinks_rows(self):
         p = Parameters(3, 10, 3)
-        trivial = mt_row_count(p, GroupKind.TRIVIAL)
-        cyclic = mt_row_count(p, GroupKind.CYCLIC)
-        frob = mt_row_count(p, GroupKind.FROBENIUS)
+        trivial = mt_rows(p, GroupKind.TRIVIAL)
+        cyclic = mt_rows(p, GroupKind.CYCLIC)
+        frob = mt_rows(p, GroupKind.FROBENIUS)
         assert frob < cyclic < trivial
 
     def test_narrow_k_rejected(self):
         with pytest.raises(ValueError):
-            mt_row_count(Parameters(3, 5, 2), GroupKind.TRIVIAL)
+            mt_rows(Parameters(3, 5, 2), GroupKind.TRIVIAL)
+        with pytest.raises(ValueError, match="requires k >= 2t"):
+            mt_construct(Parameters(3, 5, 2), GroupKind.TRIVIAL)
+
+    def test_pinned_counts(self):
+        # 2,300 cases: t 2-6, v 2-9, every group v admits, k from 2t to 2t+19.
+        rows = [mt_rows(Parameters(t, k, v), group)
+                for t in range(2, 7) for v in range(2, 10) for group in GroupKind
+                if group is not GroupKind.FROBENIUS or prime_power(v)
+                for k in range(2 * t, 2 * t + 20)]
+        assert len(rows) == 2300
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == MT_ROWS_DIGEST
 
 
 class TestMtConstruct:
@@ -98,7 +120,7 @@ class TestMtConstruct:
     def test_row_count_matches_formula(self):
         p = Parameters(2, 5, 2)
         array, _ = mt_construct(p, GroupKind.TRIVIAL, seed=0)
-        assert array.shape == (mt_row_count(p, GroupKind.TRIVIAL), 5)
+        assert array.shape == (mt_rows(p, GroupKind.TRIVIAL), 5)
 
     def test_reproducible(self):
         p = Parameters(2, 4, 2)

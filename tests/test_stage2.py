@@ -6,6 +6,7 @@ from caforge import (
     GroupKind,
     IncompatibilityGraph,
     Parameters,
+    VerificationFailed,
     build_incompat_graph,
     color_cover,
     density_cover,
@@ -218,6 +219,14 @@ class TestColorCover:
                 if all(rows[r, c] == committed[c] for c in cols)
             ]
             assert hit
+
+    def test_clash_without_edge_fails_self_check(self, rng):
+        # two items fixing column 0 to different symbols, joined by no edge,
+        # share a color class that no single row can hold
+        rows = np.array([[0, 1, FLEXIBLE], [1, FLEXIBLE, 0]])
+        g = IncompatibilityGraph(rows, np.zeros((2, 2), dtype=bool))
+        with pytest.raises(VerificationFailed, match="color class 0"):
+            color_cover(g, Parameters(2, 3, 2), GroupKind.TRIVIAL, rng)
 
     def test_empty_graph(self, rng):
         g = IncompatibilityGraph(np.empty((0, 4), dtype=np.int64),
