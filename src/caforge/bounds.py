@@ -1,9 +1,9 @@
 """Closed-form and recurrence size bounds for covering arrays.
 
 Every function is pure in (t, k, v) plus the group choice.  Closed forms are
-evaluated with mpmath (40 significant digits) so that five-digit published
-values round correctly; exhaustive integer scans use double precision, which
-is ample for their minima.  All logarithms are natural.
+evaluated in a private mpmath context at 40 significant digits, so that
+five-digit published values round correctly; exhaustive integer scans use
+double precision, which is ample for their minima.  All logarithms are natural.
 """
 
 from __future__ import annotations
@@ -13,12 +13,14 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from mpmath import mp, mpf
+from mpmath import MPContext
 
 from .groups import GroupKind, prime_power
 from .model import Parameters
 
+mp = MPContext()
 mp.dps = 40
+mpf = mp.mpf
 
 
 def _orbit_log_base(p: Parameters, group: GroupKind):

@@ -171,7 +171,11 @@ def cmd_bounds(args) -> int:
         params = [Parameters(t=args.t, k=k, v=args.v) for k in range(args.k, k_max + 1)]
     except ValueError as exc:
         return _usage_error(exc)
-    rows = [_bound_row(p) for p in params]
+    try:
+        rows = [_bound_row(p) for p in params]
+    except MemoryError as exc:
+        print(f"bounds failed: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return EXIT_CONSTRUCTION
     if args.format == "json":
         json.dump(rows, sys.stdout, indent=2)
         print()

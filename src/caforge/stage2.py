@@ -106,8 +106,8 @@ def build_incompat_graph(uncovered, p: Parameters,
         clash = ~_agree(committed[:i, None, cols], members)  # (vertex, member)
         best = int(clash.sum(axis=0).argmin())
         committed[i, cols] = members[best]
-        adjacency[i, :i] = clash[:, best]
-    return IncompatibilityGraph(committed, adjacency | adjacency.T)
+        adjacency[i, :i] = adjacency[:i, i] = clash[:, best]
+    return IncompatibilityGraph(committed, adjacency)
 
 
 def smallest_last_order(g: IncompatibilityGraph):
@@ -161,27 +161,20 @@ def density_cover(uncovered, p: Parameters, group: GroupKind) -> np.ndarray:
     row is guaranteed to retire at least ceil(u / v^t) items.
     """
     items = _item_rows(uncovered, p)
-    # weight[j] = v^-j, the chance that j unfixed cells all come out right.
-    weight = np.array([p.v**-j for j in range(p.t + 1)])
+    # weight[j] = v^(t-j), v^t times the chance that j unfixed cells come out right.
+    weight = np.array([p.v**j for j in range(p.t, -1, -1)], dtype=np.int64)
     out = []
     while len(items):
         row = np.full(p.k, FLEXIBLE, dtype=np.int64)
         for _ in range(p.k):
             open_cols = np.flatnonzero(row == FLEXIBLE)
-            cells = items[:, open_cols]
+            cells = items[_agree(items, row)][:, open_cols]
             unfixed = (cells != FLEXIBLE).sum(axis=1)
-            live = _agree(items, row)[:, None]
-            base = np.where(live & (cells == FLEXIBLE), weight[unfixed][:, None], 0.0)
-            gain = np.where(live[..., None] & (cells[..., None] == np.arange(p.v)),
-                            weight[unfixed - 1][:, None, None], 0.0)
-            # Sums run in item order, as Python's sum adds; a pairwise
-            # reduction rounds differently and can flip the 1e-12 tie rule.
-            score = (np.cumsum(base, axis=0)[-1][:, None]
-                     + np.cumsum(gain, axis=0)[-1]).ravel().tolist()
-            best = 0
-            for i, s in enumerate(score):
-                if s > score[best] + 1e-12:
-                    best = i
+            base = ((cells == FLEXIBLE) * weight[unfixed][:, None]).sum(axis=0)
+            gain = ((cells[..., None] == np.arange(p.v))
+                    * weight[unfixed - 1][:, None, None]).sum(axis=0)
+            # argmax takes the first maximum: the lowest column, then symbol.
+            best = int((base[:, None] + gain).argmax())
             row[open_cols[best // p.v]] = best % p.v
         covered = _agree(items, row)
         if covered.sum() < -(-len(items) // p.v**p.t):

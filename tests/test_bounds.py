@@ -1,9 +1,13 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import caforge
 from caforge import (
     Parameters,
     build_incompat_graph,
@@ -262,3 +266,14 @@ class TestLllBounds:
         for k in range(20, 61, 10):
             p = Parameters(4, k, 4)
             assert lll_two_stage_bound(p) > two_stage_bound(p)
+
+
+def test_mpmath_global_precision_untouched():
+    # A fresh interpreter: importing caforge and evaluating every bound must
+    # leave mpmath's process-wide precision at its default of 15 digits.
+    code = ("import mpmath, caforge; "
+            "caforge.bound_report(caforge.Parameters(3, 8, 3)); print(mpmath.mp.dps)")
+    src = os.path.dirname(os.path.dirname(caforge.__file__))
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         check=True, capture_output=True, text=True).stdout
+    assert out.split() == ["15"]

@@ -7,8 +7,8 @@ import pytest
 
 from pathlib import Path
 
-from caforge import (IncompatibilityGraph, Parameters, RunReport, cli, pipeline, stage1,
-                     stage2, verify_covering_array)
+from caforge import (IncompatibilityGraph, Parameters, RunReport, bounds, cli, pipeline,
+                     stage1, stage2, verify_covering_array)
 from caforge.cli import (
     EXIT_CONSTRUCTION,
     EXIT_NOT_COVERING,
@@ -391,6 +391,8 @@ class TestExitCodes:
          "verification failed: color class"),
         (EXIT_CONSTRUCTION, ["construct", "--t", "2", "--k", "4", "--v", "2"],
          (cli, "run", _raise_memory), "construction failed: MemoryError"),
+        (EXIT_CONSTRUCTION, ["bounds", "--t", "2", "--k", "4", "--v", "2"],
+         (bounds, "bound_report", _raise_memory), "bounds failed: MemoryError"),
     ], ids=["ok", "not-covering", "symbol-beyond-int64", "k-beyond-int64", "usage",
             "r-mult-nan", "r-mult-inf", "r-mult-1e308", "construction", "verify",
             "non-decimal-symbols", "not-utf8", "out-unwritable", "report-unwritable",
@@ -398,7 +400,7 @@ class TestExitCodes:
             "arabic-seed-flag", "arabic-bounds-k-flag", "plus-k-max-flag",
             "arabic-verify-t-flag", "arabic-r-mult-flag", "underscore-r-mult-flag",
             "mt-iteration-cap", "out-is-report", "out-is-grid", "col-class-clash",
-            "out-of-memory"])
+            "out-of-memory", "bounds-out-of-memory"])
     def test_reachable(self, tmp_path, monkeypatch, capsys, code, argv, patch, err):
         files = {"bad": "CA 2 3 2 2\n0 0 0\n1 1 1\n",
                  "huge": "CA 1 2 2 2\n0 99999999999999999999\n",

@@ -1,10 +1,15 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from caforge import (
     FLEXIBLE,
     GroupKind,
     IncompatibilityGraph,
+    Interaction,
     Parameters,
     VerificationFailed,
     build_incompat_graph,
@@ -16,7 +21,8 @@ from caforge import (
     uncovered_list,
     verify_covering_array,
 )
-from caforge.stage2 import smallest_last_order
+from caforge.groups import orbit_table
+from caforge.stage2 import _agree, _item_rows, smallest_last_order
 from conftest import exact_chromatic_number
 
 
@@ -60,6 +66,52 @@ def list_smallest_last_order(adjacency):
     return order, degeneracy
 
 
+def float_density_cover(uncovered, p, group):
+    """Density rows from float scores: weights v^-j, each score summed in
+    item order, and a pick that must lead by more than 1e-12.  The reference
+    for the exact integer scores on small item sets; at thousands of items
+    its sums round apart and its ties can break late."""
+    items = _item_rows(uncovered, p)
+    weight = np.array([p.v**-j for j in range(p.t + 1)])
+    out = []
+    while len(items):
+        row = np.full(p.k, FLEXIBLE, dtype=np.int64)
+        for _ in range(p.k):
+            open_cols = np.flatnonzero(row == FLEXIBLE)
+            cells = items[:, open_cols]
+            unfixed = (cells != FLEXIBLE).sum(axis=1)
+            live = _agree(items, row)[:, None]
+            base = np.where(live & (cells == FLEXIBLE), weight[unfixed][:, None], 0.0)
+            gain = np.where(live[..., None] & (cells[..., None] == np.arange(p.v)),
+                            weight[unfixed - 1][:, None, None], 0.0)
+            score = (np.cumsum(base, axis=0)[-1][:, None]
+                     + np.cumsum(gain, axis=0)[-1]).ravel().tolist()
+            best = 0
+            for i, s in enumerate(score):
+                if s > score[best] + 1e-12:
+                    best = i
+            row[open_cols[best // p.v]] = best % p.v
+        items = items[~_agree(items, row)]
+        out.append(row)
+    return np.array(out, dtype=np.int64).reshape(-1, p.k)
+
+
+@st.composite
+def small_item_sets(draw):
+    """Up to 300 orbit-canonical items, repeats allowed, of a random small
+    (t, k, v) and group; items in short orbits are dropped."""
+    t = draw(st.integers(2, 3))
+    p = Parameters(t, draw(st.integers(t, 6)), draw(st.integers(2, 5)))
+    group = draw(st.sampled_from(list(GroupKind)))
+    table = orbit_table(p.t, p.v, group)
+    draws = draw(st.lists(st.tuples(
+        st.sampled_from(list(itertools.combinations(range(p.k), p.t))),
+        st.integers(0, p.v**p.t - 1)), max_size=300))
+    items = [Interaction(cols, table.rep_symbols(int(table.orbit_of[rank])))
+             for cols, rank in draws if table.orbit_of[rank] >= 0]
+    return items, p, group
+
+
 class TestNaive:
     @pytest.mark.parametrize("group", list(GroupKind))
     def test_completes_coverage(self, rng, group):
@@ -93,7 +145,6 @@ class TestGreedy:
             assert g.shape[0] <= report.uncovered_count
 
     def test_disjoint_items_share_one_row(self, rng):
-        from caforge import Interaction
         p = Parameters(2, 6, 2)
         items = [Interaction((0, 1), (0, 1)), Interaction((2, 3), (1, 0)),
                  Interaction((4, 5), (1, 1))]
@@ -101,7 +152,6 @@ class TestGreedy:
         assert rows.shape[0] == 1
 
     def test_conflicting_items_split(self, rng):
-        from caforge import Interaction
         p = Parameters(2, 4, 2)
         items = [Interaction((0, 1), (0, 0)), Interaction((0, 1), (1, 1))]
         rows = greedy_cover(items, p, GroupKind.TRIVIAL, rng)
@@ -137,8 +187,27 @@ class TestIncompatGraph:
                                if x != FLEXIBLE and y != FLEXIBLE)
                 assert g.adjacency[i, j] == conflict
 
+    def test_peak_memory_about_one_matrix(self):
+        # The (n, n) adjacency is the one quadratic array: filling both
+        # triangles in place leaves no second matrix to symmetrise with.
+        p = Parameters(3, 12, 4)
+        rng = np.random.default_rng(4)
+        items = [Interaction(tuple(sorted(rng.choice(p.k, p.t, replace=False).tolist())),
+                             tuple(rng.integers(0, p.v, p.t).tolist()))
+                 for _ in range(2400)]
+        # A warm-up call, so that lazy imports and the orbit table are not traced.
+        build_incompat_graph(items[:2], p, GroupKind.TRIVIAL)
+        tracemalloc.start()
+        try:
+            g = build_incompat_graph(items, p, GroupKind.TRIVIAL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = len(items)
+        assert g.m_edges > 0
+        assert peak <= 1.25 * n * n
+
     def test_group_commit_stays_in_orbit(self):
-        from caforge.groups import orbit_table
         p = Parameters(2, 4, 3)
         table = orbit_table(2, 3, GroupKind.CYCLIC)
         _, report = leftovers(p, seed=2, n=2, group=GroupKind.CYCLIC)
@@ -285,6 +354,27 @@ class TestDensityCover:
         rows = density_cover(report.uncovered, p, GroupKind.TRIVIAL)
         assert rows.shape[0] <= report.uncovered_count
 
+    def test_ties_break_to_lowest_column_then_symbol(self):
+        # Every (2,6,5) interaction 32 times over, shuffled: each first pick
+        # ties, so the first row is all zeros.  float_density_cover picks
+        # [0, 0, 0, 1, 0, 0] here, because its sums of 12,000 terms round apart.
+        p = Parameters(2, 6, 5)
+        every = [Interaction(cols, syms)
+                 for cols in itertools.combinations(range(p.k), p.t)
+                 for syms in itertools.product(range(p.v), repeat=p.t)]
+        order = np.random.default_rng(1).permutation(np.tile(np.arange(len(every)), 32))
+        rows = density_cover([every[i] for i in order], p, GroupKind.TRIVIAL)
+        assert rows[0].tolist() == [0] * p.k
+        assert rows.shape == (35, p.k)
+        assert verify_covering_array(rows, p)
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_item_sets())
+    def test_matches_float_oracle(self, case):
+        items, p, group = case
+        assert np.array_equal(density_cover(items, p, group),
+                              float_density_cover(items, p, group))
+
     def test_empty_input(self):
         rows = density_cover([], Parameters(2, 4, 2), GroupKind.TRIVIAL)
         assert rows.shape == (0, 4)
@@ -297,7 +387,6 @@ class TestInputChecks:
     def test_short_orbit_item_rejected(self, rng, cover):
         # Under Frobenius the constant tuple (1, 1) lies in a short orbit; it
         # must not be committed to a member of another item's orbit.
-        from caforge import Interaction
         p = Parameters(2, 3, 3)
         items = [Interaction((0, 1), (0, 1)), Interaction((0, 1), (1, 1))]
         with pytest.raises(ValueError, match="short orbit"):
@@ -322,7 +411,6 @@ class TestInputChecks:
     ], ids=["symbol-negative", "symbol-v", "column-negative", "column-k"])
     @pytest.mark.parametrize("cover", ["naive", "greedy", "graph", "col", "den"])
     def test_item_out_of_range(self, rng, cover, columns, symbols):
-        from caforge import Interaction
         p, group = Parameters(2, 4, 3), GroupKind.TRIVIAL
         items = [Interaction((0, 1), (0, 1)), Interaction(columns, symbols)]
         with pytest.raises(ValueError, match="out of range"):
