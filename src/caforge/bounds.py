@@ -47,18 +47,29 @@ def slj_bound(p: Parameters) -> float:
     return float(num / _orbit_log_base(p, GroupKind.TRIVIAL))
 
 
-def discrete_slj_bound(p: Parameters) -> int:
+#: Most loop steps ``discrete_slj_bound`` takes, a few seconds; past it, None.
+DSLJ_STEP_BUDGET = 10**7
+
+
+def discrete_slj_bound(p: Parameters) -> int | None:
     """Rows needed when each row covers exactly ceil(u / v^t) new interactions.
 
     Exact integer recurrence; u can exceed 10^10 so no floating arithmetic
-    is involved.
+    is involved.  Rows are single steps while u > (v^t)^2, about
+    v^t ln(C(k,t) / v^t), then one step per run of equal decrement, at most
+    min(C(k,t), v^t).  None when that estimate exceeds ``DSLJ_STEP_BUDGET``.
     """
-    vt = p.v**p.t
-    u = math.comb(p.k, p.t) * vt
-    n = 0
-    while u > 0:
+    vt, eta = p.v**p.t, math.comb(p.k, p.t)
+    if vt * math.log(max(eta / vt, 1)) + min(eta, vt) > DSLJ_STEP_BUDGET:
+        return None
+    u, n = eta * vt, 0
+    while u > vt * vt:
         u -= -(-u // vt)
         n += 1
+    while u > 0:
+        d = -(-u // vt)
+        run = -(-(u - (d - 1) * vt) // d)  # rows until ceil(u / v^t) drops
+        u, n = u - run * d, n + run
     return n
 
 
@@ -129,7 +140,7 @@ def chromatic_estimate(m_edges: float) -> float:
 
 
 def coloring_two_stage_estimate(p: Parameters, mode: str = "conservative") -> float:
-    """Minimum over n of n + chromatic_estimate(c * gamma(n)).
+    """Minimum over n in [1, ceil(slj)] of n + chromatic_estimate(c * gamma(n)).
 
     gamma(n) is the paper's edge-count approximation: a pair sharing i
     columns decays as (1 - 1/v^t)^n (1 - 1/(v^t - v^(t-i)))^n, as if the two
@@ -139,18 +150,33 @@ def coloring_two_stage_estimate(p: Parameters, mode: str = "conservative") -> fl
 
     ``mode`` is "optimistic" (c=1, edges at gamma) or "conservative"
     (c=2, edges at most twice gamma).
+
+    f(n) = n + 1/2 + sqrt(2c gamma(n) + 1/4), gamma(n) = sum_i a_i e^(-b_i n)
+    with a_i >= 0, is convex: the root is the Euclidean norm of 1/2 and the
+    (sqrt(2c a_i) e^(-b_i n / 2))_i, each nonnegative and convex in n, and a
+    norm is convex and nondecreasing in nonnegative components.  So bisect on
+    the sign of f(n+1) - f(n), then take the float minimum within 64 points.
     """
     c = {"optimistic": 1, "conservative": 2}[mode]
     t, k, v = p.t, p.k, p.v
     vt = v**t
-    n = np.arange(1, math.ceil(slj_bound(p)) + 1)
-    gamma = np.zeros(len(n))
-    for i in range(1, t + 1):
-        pairs = _conflict_pairs(p, i)
-        log_decay = math.log1p(-1 / vt) + math.log1p(-1 / (vt - v ** (t - i)))
-        gamma += pairs * np.exp(n * log_decay)
-    gamma *= 0.5 * math.comb(k, t) * vt
-    return float(np.min(n + 0.5 + np.sqrt(2 * c * gamma + 0.25)))
+
+    def f(n):  # one vector expression for every point keeps the floats identical
+        gamma = np.zeros(len(n))
+        for i in range(1, t + 1):
+            pairs = _conflict_pairs(p, i)
+            log_decay = math.log1p(-1 / vt) + math.log1p(-1 / (vt - v ** (t - i)))
+            gamma += pairs * np.exp(n * log_decay)
+        gamma *= 0.5 * math.comb(k, t) * vt
+        return n + 0.5 + np.sqrt(2 * c * gamma + 0.25)
+
+    top = math.ceil(slj_bound(p))
+    lo, hi = 1, top
+    while hi - lo > 64:
+        mid = (lo + hi) // 2
+        f_mid, f_next = f(np.array([mid, mid + 1]))
+        lo, hi = (lo, mid) if f_next >= f_mid else (mid + 1, hi)
+    return float(np.min(f(np.arange(max(1, lo - 64), min(hi + 64, top) + 1))))
 
 
 def lll_first_stage_n(p: Parameters):
@@ -196,11 +222,11 @@ class BoundReport:
     """All bound values for one parameter triple.
 
     Entries are None when their precondition fails (k < 2t, v not a prime
-    power, or the LLL side condition).
+    power, the LLL side condition, or the discrete SLJ step budget).
     """
 
     slj: float
-    discrete_slj: int
+    discrete_slj: int | None
     two_stage: float
     gss: float | None
     cyclic_two_stage: float

@@ -136,9 +136,11 @@ def color_cover(g: IncompatibilityGraph, p: Parameters, group: GroupKind,
         raise ValueError(f"graph rows out of range for k={p.k}, v={p.v}")
     order, degeneracy = smallest_last_order(g)
     color = np.full(len(items), -1, dtype=np.int64)
-    for u in order:  # the least color no neighbour holds
-        taken = set(color[g.adjacency[u]].tolist())
-        color[u] = min(set(range(len(taken) + 1)) - taken)
+    for u in order:  # the least color no neighbour holds; deg + 1 slots suffice
+        held = color[g.adjacency[u]]
+        taken = np.zeros(len(held) + 1, dtype=bool)
+        taken[held[(held >= 0) & (held < len(taken))]] = True
+        color[u] = taken.argmin()
     n_colors = int(color.max(initial=-1)) + 1
     # A fixed symbol outranks FLEXIBLE, so the maximum merges a class; the
     # class fits one row exactly when every member agrees with the merge.

@@ -3,9 +3,11 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import caforge
 from caforge import (
@@ -23,7 +25,7 @@ from caforge import (
     two_stage_bound,
     uncovered_list,
 )
-from caforge.bounds import group_rho
+from caforge.bounds import bound_report, group_rho, _conflict_pairs
 from caforge.groups import GroupKind
 
 
@@ -37,6 +39,55 @@ def dslj_oracle(t, k, v):
         u -= covered
         steps += 1
     return steps
+
+
+def coloring_oracle(p, mode):
+    # The full scan over every n in [1, ceil(slj)], as a reference for the
+    # convex search; each point uses the same float expression.
+    c = {"optimistic": 1, "conservative": 2}[mode]
+    t, k, v = p.t, p.k, p.v
+    vt = v**t
+    n = np.arange(1, math.ceil(slj_bound(p)) + 1)
+    gamma = np.zeros(len(n))
+    for i in range(1, t + 1):
+        pairs = _conflict_pairs(p, i)
+        log_decay = math.log1p(-1 / vt) + math.log1p(-1 / (vt - v ** (t - i)))
+        gamma += pairs * np.exp(n * log_decay)
+    gamma *= 0.5 * math.comb(k, t) * vt
+    return float(np.min(n + 0.5 + np.sqrt(2 * c * gamma + 0.25)))
+
+
+@st.composite
+def small_triples(draw):
+    t = draw(st.integers(2, 4))
+    v = draw(st.integers(2, 5))
+    k = draw(st.integers(t, t + 14))
+    return Parameters(t, k, v)
+
+
+class TestAgainstOracles:
+    @settings(max_examples=60, deadline=None)
+    @given(small_triples())
+    def test_discrete_slj_equals_oracle(self, p):
+        assert discrete_slj_bound(p) == dslj_oracle(p.t, p.k, p.v)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_triples(), st.sampled_from(["optimistic", "conservative"]))
+    def test_coloring_equals_oracle(self, p, mode):
+        assert coloring_two_stage_estimate(p, mode) == coloring_oracle(p, mode)
+
+    def test_largest_grid_triple(self):
+        p = Parameters(6, 29, 7)
+        assert discrete_slj_bound(p) == dslj_oracle(6, 29, 7)
+        for mode in ("optimistic", "conservative"):
+            assert coloring_two_stage_estimate(p, mode) == coloring_oracle(p, mode)
+
+    def test_over_step_budget_is_none(self):
+        start = time.perf_counter()
+        p = Parameters(8, 40, 10)
+        assert discrete_slj_bound(p) is None
+        assert bound_report(p).discrete_slj is None
+        assert time.perf_counter() - start < 1
 
 
 class TestSlj:

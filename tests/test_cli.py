@@ -1,5 +1,6 @@
 import csv
 import json
+import time
 from dataclasses import fields
 
 import numpy as np
@@ -165,6 +166,19 @@ class TestBoundsCommand:
         main(["bounds", "--t", "3", "--k", "4", "--v", "2", "--format", "json"])
         doc = json.loads(capsys.readouterr().out)
         assert doc[0]["gss"] is None
+
+    def test_large_v_returns_quickly(self, capsys):
+        start = time.perf_counter()
+        assert main(["bounds", "--t", "4", "--k", "8", "--v", "100"]) == EXIT_OK
+        assert time.perf_counter() - start < 1
+        (row,) = csv.DictReader(capsys.readouterr().out.splitlines())
+        assert int(row["discrete_slj"]) == 483283674
+
+    def test_over_step_budget_empty_cell(self, capsys):
+        assert main(["bounds", "--t", "8", "--k", "40", "--v", "10"]) == EXIT_OK
+        (row,) = csv.DictReader(capsys.readouterr().out.splitlines())
+        assert row["discrete_slj"] == ""
+        assert float(row["slj"]) > 0
 
     def test_bad_range(self, capsys):
         assert main(["bounds", "--t", "2", "--k", "6", "--v", "2",
