@@ -1,9 +1,9 @@
 """Closed-form and recurrence size bounds for covering arrays.
 
-Every function is pure in (t, k, v) plus the group choice.  Closed forms are
-evaluated in a private mpmath context at 40 significant digits, so that
-five-digit published values round correctly; exhaustive integer scans use
-double precision, which is ample for their minima.  All logarithms are natural.
+Every function is pure in (t, k, v) plus the group choice, and raises
+``ValueError`` where its bound does not apply.  Closed forms are evaluated at
+40 significant digits in a private mpmath context, so that five-digit
+published values round correctly; integer minima use doubles.  Logs are natural.
 """
 
 from __future__ import annotations
@@ -15,20 +15,19 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import MPContext
 
-from .groups import GroupKind, prime_power
+from .groups import GroupKind
 from .model import Parameters
 
 mp = MPContext()
 mp.dps = 40
-mpf = mp.mpf
 
 
 def _orbit_log_base(p: Parameters, group: GroupKind):
     """-ln(per-row miss probability of one full orbit) under the group: a
-    random row hits a full orbit in |G| of the v^t tuples."""
-    order, _, _ = group.shape(p.t, p.v)
-    vt = p.v**p.t
-    return mp.log(mpf(vt) / (vt - order))
+    random row hits a full orbit in |G| of the v^t tuples.  The quotient gets
+    v^t's bits beyond the working precision, so it never rounds to 1."""
+    order, vt = group.shape(p.t, p.v)[0], p.v**p.t
+    return mp.log(mp.fdiv(vt, vt - order, prec=mp.prec + vt.bit_length()))
 
 
 def _dep_degree(p: Parameters) -> int:
@@ -60,12 +59,12 @@ def discrete_slj_bound(p: Parameters) -> int | None:
     min(C(k,t), v^t).  None when that estimate exceeds ``DSLJ_STEP_BUDGET``.
     """
     vt, eta = p.v**p.t, math.comb(p.k, p.t)
-    if vt * math.log(max(eta / vt, 1)) + min(eta, vt) > DSLJ_STEP_BUDGET:
+    if min(eta, vt) > DSLJ_STEP_BUDGET or \
+            vt * max(math.log(eta) - math.log(vt), 0) + min(eta, vt) > DSLJ_STEP_BUDGET:
         return None
     u, n = eta * vt, 0
     while u > vt * vt:
-        u -= -(-u // vt)
-        n += 1
+        u, n = u - -(-u // vt), n + 1
     while u > 0:
         d = -(-u // vt)
         run = -(-(u - (d - 1) * vt) // d)  # rows until ceil(u / v^t) drops
@@ -93,8 +92,7 @@ def first_stage_n(p: Parameters, group: GroupKind, target_uncovered: float) -> i
     if target_uncovered >= full:
         warnings.warn("target_uncovered >= total orbit count; no rows needed")
         return 0
-    L = _orbit_log_base(p, group)
-    return int(mp.ceil(mp.log(mpf(full) / mpf(target_uncovered)) / L))
+    return int(mp.ceil(mp.log(mp.mpf(full) / target_uncovered) / _orbit_log_base(p, group)))
 
 
 def gss_bound(p: Parameters, group: GroupKind = GroupKind.TRIVIAL) -> float:
@@ -104,8 +102,7 @@ def gss_bound(p: Parameters, group: GroupKind = GroupKind.TRIVIAL) -> float:
     the Moser-Tardos row count.  Requires k >= 2t."""
     if p.k < 2 * p.t:
         raise ValueError("gss_bound requires k >= 2t")
-    _, full, _ = group.shape(p.t, p.v)
-    num = mp.log(_dep_degree(p)) + mp.log(full) + 1
+    num = mp.log(_dep_degree(p)) + mp.log(group.shape(p.t, p.v)[1]) + 1
     return float(num / _orbit_log_base(p, group))
 
 
@@ -158,8 +155,7 @@ def coloring_two_stage_estimate(p: Parameters, mode: str = "conservative") -> fl
     the sign of f(n+1) - f(n), then take the float minimum within 64 points.
     """
     c = {"optimistic": 1, "conservative": 2}[mode]
-    t, k, v = p.t, p.k, p.v
-    vt = v**t
+    t, k, v, vt = p.t, p.k, p.v, p.v**p.t
 
     def f(n):  # one vector expression for every point keeps the floats identical
         gamma = np.zeros(len(n))
@@ -170,7 +166,9 @@ def coloring_two_stage_estimate(p: Parameters, mode: str = "conservative") -> fl
         gamma *= 0.5 * math.comb(k, t) * vt
         return n + 0.5 + np.sqrt(2 * c * gamma + 0.25)
 
-    top = math.ceil(slj_bound(p))
+    top = math.ceil(min(slj_bound(p), 2**53))
+    if top == 2**53:
+        raise ValueError("coloring estimate needs ceil(slj) < 2^53, where n is exact")
     lo, hi = 1, top
     while hi - lo > 64:
         mid = (lo + hi) // 2
@@ -183,21 +181,23 @@ def lll_first_stage_n(p: Parameters):
     """(n, m) minimizing the rows needed so every column t-set covers some
     m-subset of tuples while the expected leftover stays below v^t.
 
-    Exhaustive scan over m in [1, v^t]; n is the ceiling of the larger of
-    the two per-m row requirements.
+    n is the ceiling of max(n1(m), n2(m)); n1 = ln(e d m) / L rises in m and
+    n2 = ln(e C(k,t) (1 - m/v^t)) / L falls, so the least is at floor or ceil
+    of their crossing m* = C(k,t) v^t / (d v^t + C(k,t)), the smaller m on a tie.
     """
     if p.k < 2 * p.t:
         raise ValueError("lll_first_stage_n requires k >= 2t")
     vt, eta, dep = p.v**p.t, math.comb(p.k, p.t), _dep_degree(p)
-    L = math.log(vt / (vt - 1))
-    best = (math.inf, 0)
-    for m in range(1, vt + 1):
+    L = float(_orbit_log_base(p, GroupKind.TRIVIAL))
+
+    def rows(m):
         n1 = math.log(math.e * dep * m) / L
         n2 = math.log(eta * math.e * (1 - m / vt)) / L if m < vt else -math.inf
-        n = max(n1, n2)
-        if n < best[0]:
-            best = (n, m)
-    return math.ceil(best[0]), best[1]
+        return max(n1, n2), m
+
+    m_floor = eta * vt // (dep * vt + eta)  # 0 <= m_floor < m* < v^t
+    n, m = min(rows(max(m_floor, 1)), rows(m_floor + 1))
+    return math.ceil(n), m
 
 
 def lll_two_stage_bound(p: Parameters) -> float:
@@ -207,50 +207,49 @@ def lll_two_stage_bound(p: Parameters) -> float:
         raise ValueError("lll_two_stage_bound requires k >= 2t")
     vt, eta, dep = p.v**p.t, math.comb(p.k, p.t), _dep_degree(p)
     L = _orbit_log_base(p, GroupKind.TRIVIAL)
-    m_opt = mpf(eta) * vt * L / dep
+    m_opt = mp.mpf(eta) * vt * L / dep
     if m_opt > vt:
-        raise ValueError(
-            f"side condition failed: optimal tuple-subset size {float(m_opt):.1f} "
-            f"exceeds v^t = {vt}"
-        )
+        raise ValueError(f"side condition failed: optimal tuple-subset size "
+                         f"{float(m_opt):.1f} exceeds v^t = {vt}")
     num = mp.log(eta) + p.t * mp.log(p.v) + mp.log(L) + 2
-    return float(num / L - mpf(eta) / dep)
+    return float(num / L - mp.mpf(eta) / dep)
 
 
 @dataclass
 class BoundReport:
-    """All bound values for one parameter triple.
+    """All bound values for one parameter triple; an entry is None where its
+    bound does not apply (k < 2t, v not a prime power, the LLL side condition,
+    the discrete SLJ step budget, ceil(slj) >= 2^53) or is not finite."""
 
-    Entries are None when their precondition fails (k < 2t, v not a prime
-    power, the LLL side condition, or the discrete SLJ step budget).
-    """
-
-    slj: float
+    slj: float | None
     discrete_slj: int | None
-    two_stage: float
+    two_stage: float | None
     gss: float | None
-    cyclic_two_stage: float
+    cyclic_two_stage: float | None
     frobenius_two_stage: float | None
     lll_two_stage: float | None
-    optimistic_coloring: float
-    conservative_coloring: float
+    optimistic_coloring: float | None
+    conservative_coloring: float | None
+
+
+def _applied(bound, *args):
+    """``bound(*args)``, or None where it does not apply or is a non-finite float."""
+    try:
+        value = bound(*args)
+    except ValueError:
+        return None
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def bound_report(p: Parameters) -> BoundReport:
-    gss = gss_bound(p) if p.k >= 2 * p.t else None
-    frob = two_stage_bound(p, GroupKind.FROBENIUS) if prime_power(p.v) else None
-    try:
-        lll = lll_two_stage_bound(p)
-    except ValueError:
-        lll = None
     return BoundReport(
-        slj=slj_bound(p),
-        discrete_slj=discrete_slj_bound(p),
-        two_stage=two_stage_bound(p),
-        gss=gss,
-        cyclic_two_stage=two_stage_bound(p, GroupKind.CYCLIC),
-        frobenius_two_stage=frob,
-        lll_two_stage=lll,
-        optimistic_coloring=coloring_two_stage_estimate(p, "optimistic"),
-        conservative_coloring=coloring_two_stage_estimate(p, "conservative"),
+        slj=_applied(slj_bound, p),
+        discrete_slj=_applied(discrete_slj_bound, p),
+        two_stage=_applied(two_stage_bound, p),
+        gss=_applied(gss_bound, p),
+        cyclic_two_stage=_applied(two_stage_bound, p, GroupKind.CYCLIC),
+        frobenius_two_stage=_applied(two_stage_bound, p, GroupKind.FROBENIUS),
+        lll_two_stage=_applied(lll_two_stage_bound, p),
+        optimistic_coloring=_applied(coloring_two_stage_estimate, p, "optimistic"),
+        conservative_coloring=_applied(coloring_two_stage_estimate, p, "conservative"),
     )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -50,18 +51,11 @@ def prime_power(v: int):
     """Return (p, e) with v == p**e and p prime, or None."""
     if v < 2:
         return None
-    for p in range(2, v + 1):
-        if p * p > v and p != v:
-            break
-        if v % p:
-            continue
-        e = 0
-        m = v
-        while m % p == 0:
-            m //= p
-            e += 1
-        return (p, e) if m == 1 else None
-    return (v, 1)
+    p = next((d for d in range(2, math.isqrt(v) + 1) if v % d == 0), v)
+    e = 0
+    while v % p == 0:
+        v, e = v // p, e + 1
+    return (p, e) if v == 1 else None
 
 
 def _mul(p: int, e: int, modulus, a, b):

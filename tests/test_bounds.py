@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -57,12 +58,41 @@ def coloring_oracle(p, mode):
     return float(np.min(n + 0.5 + np.sqrt(2 * c * gamma + 0.25)))
 
 
+def lll_oracle(p):
+    # The exhaustive scan over every m in [1, v^t], as a reference for the
+    # closed-form crossing; the first strict minimum wins.
+    vt, eta = p.v**p.t, math.comb(p.k, p.t)
+    dep = eta - math.comb(p.k - p.t, p.t)
+    L = math.log(vt / (vt - 1))
+    best = (math.inf, 0)
+    for m in range(1, vt + 1):
+        n1 = math.log(math.e * dep * m) / L
+        n2 = math.log(eta * math.e * (1 - m / vt)) / L if m < vt else -math.inf
+        n = max(n1, n2)
+        if n < best[0]:
+            best = (n, m)
+    return math.ceil(best[0]), best[1]
+
+
 @st.composite
 def small_triples(draw):
     t = draw(st.integers(2, 4))
     v = draw(st.integers(2, 5))
     k = draw(st.integers(t, t + 14))
     return Parameters(t, k, v)
+
+
+@st.composite
+def lll_triples(draw):
+    # v^t <= 7^6 = 117,649, so the oracle's scan stays short
+    t = draw(st.integers(2, 6))
+    return Parameters(t, draw(st.integers(2 * t, 2 * t + 80)), draw(st.integers(2, 7)))
+
+
+@st.composite
+def any_triples(draw):
+    t = draw(st.integers(2, 64))
+    return Parameters(t, draw(st.integers(t, 4 * t)), draw(st.integers(2, 1000)))
 
 
 class TestAgainstOracles:
@@ -75,6 +105,11 @@ class TestAgainstOracles:
     @given(small_triples(), st.sampled_from(["optimistic", "conservative"]))
     def test_coloring_equals_oracle(self, p, mode):
         assert coloring_two_stage_estimate(p, mode) == coloring_oracle(p, mode)
+
+    @settings(max_examples=60, deadline=None)
+    @given(lll_triples())
+    def test_lll_first_stage_equals_oracle(self, p):
+        assert lll_first_stage_n(p) == lll_oracle(p)
 
     def test_largest_grid_triple(self):
         p = Parameters(6, 29, 7)
@@ -281,17 +316,7 @@ class TestLllBounds:
 
     def test_first_stage_matches_exhaustive_scan(self):
         p = Parameters(2, 5, 2)
-        vt, eta = 4, math.comb(5, 2)
-        dep = eta - math.comb(3, 2)
-        L = math.log(vt / (vt - 1))
-        best = None
-        for m in range(1, vt + 1):
-            n1 = math.log(math.e * dep * m) / L
-            n2 = math.log(eta * math.e * (1 - m / vt)) / L if m < vt else -math.inf
-            cand = (max(n1, n2), m)
-            if best is None or cand < best:
-                best = cand
-        assert lll_first_stage_n(p) == (math.ceil(best[0]), best[1])
+        assert lll_first_stage_n(p) == lll_oracle(p) == (11, 1)
 
     def test_two_stage_identity(self):
         # Differs from the plain two-stage bound by 1/L - eta/dep exactly.
@@ -317,6 +342,21 @@ class TestLllBounds:
         for k in range(20, 61, 10):
             p = Parameters(4, k, 4)
             assert lll_two_stage_bound(p) > two_stage_bound(p)
+
+
+class TestBoundReport:
+    @settings(max_examples=25, deadline=None)
+    @given(any_triples())
+    def test_total(self, p):
+        # Every triple gets a report, even where v^t or the values outgrow a
+        # float: each entry is a finite number or None.
+        rep = bound_report(p)
+        assert all(x is None or math.isfinite(x) for x in astuple(rep))
+
+    def test_gss_beyond_40_digits(self):
+        # v^t = 10^180: ln(v^t / (v^t - 1)) must not round to 0
+        value = gss_bound(Parameters(60, 120, 1000))
+        assert 4.9e182 < value < 5.0e182
 
 
 def test_mpmath_global_precision_untouched():

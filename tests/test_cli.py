@@ -174,6 +174,23 @@ class TestBoundsCommand:
         (row,) = csv.DictReader(capsys.readouterr().out.splitlines())
         assert int(row["discrete_slj"]) == 483283674
 
+    @pytest.mark.parametrize("t,k,v,dslj_digits", [
+        (60, 120, 1000, None),   # v^t = 10^180: no float quotient survives
+        (200, 400, 100, None),   # 10^400: every closed form overflows a double
+        (200, 201, 100, 401),    # C(k,t) = 201 rows of decrement: exact, beyond a double
+    ])
+    def test_huge_vt_strict_json(self, capsys, t, k, v, dslj_digits):
+        def reject(name):
+            raise ValueError(f"non-finite {name} in JSON")
+
+        start = time.perf_counter()
+        assert main(["bounds", "--t", str(t), "--k", str(k), "--v", str(v),
+                     "--format", "json"]) == EXIT_OK
+        assert time.perf_counter() - start < 1
+        (row,) = json.loads(capsys.readouterr().out, parse_constant=reject)
+        dslj = row["discrete_slj"]
+        assert (dslj if dslj is None else len(str(dslj))) == dslj_digits
+
     def test_over_step_budget_empty_cell(self, capsys):
         assert main(["bounds", "--t", "8", "--k", "40", "--v", "10"]) == EXIT_OK
         (row,) = csv.DictReader(capsys.readouterr().out.splitlines())
