@@ -1,9 +1,7 @@
 """First-stage strategies: plain random arrays and Moser-Tardos resampling.
 
-Every strategy is a Las-Vegas procedure made reproducible by deriving each
-retry's RNG stream from (seed, attempt index) with numpy's PCG64 generator.
-Interactions are always checked column-set-major in lexicographic order,
-tuples by mixed-radix rank, so resampling revisits them in a fixed order.
+Both are Las-Vegas procedures, made reproducible by numpy PCG64 streams
+seeded from (seed, attempt) and by ``iter_uncovered``'s fixed item order.
 """
 
 from __future__ import annotations
@@ -31,23 +29,20 @@ class IterationCapExceeded(Exception):
     """A resampling loop exceeded its safety cap."""
 
 
-def _rng(seed: int, stream: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, stream]))
+def _rows(rng, n: int, width: int, v: int) -> np.ndarray:
+    if n * width * 8 > np.iinfo(np.intp).max:  # numpy would raise ValueError
+        raise MemoryError(f"{n} x {width} int64 symbols exceed numpy's index range")
+    return rng.integers(0, v, size=(n, width), dtype=np.int64)
 
 
 def rand_first_stage(p: Parameters, group: GroupKind, n: int, r: float,
                      seed: int = 0):
-    """Draw uniform n x k arrays until at most r orbits stay uncovered.
-
-    Returns (array, report, attempts).  The coverage scan aborts as soon as
-    the target is exceeded, but that happens late: at r = 2 rho a rejected
-    attempt still scans most of the column t-sets (94% on average at
-    Frobenius (5,16,5)).
-    """
+    """Draw uniform n x k arrays, attempt a from the stream (seed, a), until
+    at most r orbits stay uncovered.  Returns (array, report, attempts)."""
     if n < 0 or r < 0:
         raise ValueError("n and r must be nonnegative")
     for attempt in range(MAX_RETRIES):
-        array = _rng(seed, attempt).integers(0, p.v, size=(n, p.k), dtype=np.int64)
+        array = _rows(np.random.default_rng([seed, attempt]), n, p.k, p.v)
         report = uncovered_list(array, p, group, cap=int(r))
         if not report.truncated:
             return array, report, attempt + 1
@@ -55,18 +50,17 @@ def rand_first_stage(p: Parameters, group: GroupKind, n: int, r: float,
 
 
 def _resample(p: Parameters, group: GroupKind, n: int, m: int, seed: int):
-    """Moser-Tardos: draw n random rows, then resample the columns of the
-    first uncovered orbit whose representative ranks below ``m``, until a
-    whole pass finds none.  Returns (array, report of the orbits that last
-    pass left uncovered)."""
-    rng = _rng(seed, 0)
-    array = rng.integers(0, p.v, size=(n, p.k), dtype=np.int64)
+    """Moser-Tardos: draw n rows, then resample the columns of the first
+    uncovered orbit whose representative ranks below ``m`` until a pass finds
+    none.  Returns (array, report of what that last pass left uncovered)."""
+    rng = np.random.default_rng([seed, 0])
+    array = _rows(rng, n, p.k, p.v)
     radix = orbit_table(p.t, p.v, group).radix
     for _ in range(ITERATION_CAP + 1):
         report = CoverageReport()
         for item in iter_uncovered(array, p, group):
             if np.dot(item.symbols, radix) < m:
-                array[:, item.columns] = rng.integers(0, p.v, size=(n, p.t), dtype=np.int64)
+                array[:, item.columns] = _rows(rng, n, p.t, p.v)
                 break
             report.uncovered.append(item)
         else:
@@ -75,22 +69,15 @@ def _resample(p: Parameters, group: GroupKind, n: int, m: int, seed: int):
 
 
 def mt_construct(p: Parameters, group: GroupKind, seed: int = 0):
-    """Resample the columns of the first uncovered orbit until none remains.
-
-    Draws ceil(``bounds.gss_bound``) rows and returns (array, report).  The
-    array covers every full orbit, so the report is empty and developing the
-    array yields a covering array.  Raises ValueError when k < 2t.
-    """
+    """Resample ceil(``bounds.gss_bound``) rows until every full orbit is
+    covered, so developing the array gives a covering array.  Returns
+    (array, empty report); raises ValueError when k < 2t."""
     return _resample(p, group, math.ceil(bounds.gss_bound(p, group)), p.v**p.t, seed)
 
 
 def mt_first_stage(p: Parameters, seed: int = 0):
-    """Resample until every column t-set covers the first m tuple ranks,
-    with (n, m) the optimum of ``bounds.lll_first_stage_n``.
-
-    Returns (array, report), the report listing what the last pass left
-    uncovered (necessarily outside the first m ranks).  Like
-    ``lll_first_stage_n``, it raises ValueError when k < 2t.
-    """
+    """Resample n rows until every column t-set covers the first m tuple
+    ranks, (n, m) from ``bounds.lll_first_stage_n`` (ValueError when k < 2t).
+    Returns (array, report of what the last pass left, all ranked >= m)."""
     n, m = bounds.lll_first_stage_n(p)
     return _resample(p, GroupKind.TRIVIAL, n, m, seed)

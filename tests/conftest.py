@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from caforge import Interaction, Parameters
+from caforge import GroupKind, Interaction, Parameters
+from caforge.groups import orbit_table
 
 
 def brute_uncovered(array, p: Parameters):
@@ -18,6 +19,20 @@ def brute_uncovered(array, p: Parameters):
             if not hit:
                 missing.append(Interaction(cols, syms))
     return missing
+
+
+def scan_oracle(array, p: Parameters, group=GroupKind.TRIVIAL):
+    """The per-t-set coverage loop: one orbit mask per column t-set, yielded
+    in column-set, then orbit order.  The batched kernel must match it item
+    for item."""
+    array = np.asarray(array)
+    table = orbit_table(p.t, p.v, group)
+    for cols in itertools.combinations(range(p.k), p.t):
+        orbits = table.orbit_of[array[:, cols] @ table.radix]
+        mask = np.zeros(table.n_orbits, dtype=bool)
+        mask[orbits[orbits >= 0]] = True
+        for o in np.flatnonzero(~mask):
+            yield Interaction(cols, table.rep_symbols(int(o)))
 
 
 def exact_chromatic_number(adjacency):

@@ -424,6 +424,11 @@ class TestExitCodes:
          (cli, "run", _raise_memory), "construction failed: MemoryError"),
         (EXIT_CONSTRUCTION, ["bounds", "--t", "2", "--k", "4", "--v", "2"],
          (bounds, "bound_report", _raise_memory), "bounds failed: MemoryError"),
+        (EXIT_CONSTRUCTION, ["construct", "--t", "60", "--k", "120", "--v", "1000"],
+         None, "x 120 int64 symbols exceed numpy's index range"),
+        (EXIT_CONSTRUCTION, ["construct", "--t", "60", "--k", "120", "--v", "1000",
+                             "--stage1", "mt"],
+         None, "x 120 int64 symbols exceed numpy's index range"),
     ], ids=["ok", "not-covering", "symbol-beyond-int64", "k-beyond-int64", "usage",
             "r-mult-nan", "r-mult-inf", "r-mult-1e308", "construction", "verify",
             "non-decimal-symbols", "not-utf8", "out-unwritable", "report-unwritable",
@@ -431,7 +436,8 @@ class TestExitCodes:
             "arabic-seed-flag", "arabic-bounds-k-flag", "plus-k-max-flag",
             "arabic-verify-t-flag", "arabic-r-mult-flag", "underscore-r-mult-flag",
             "mt-iteration-cap", "out-is-report", "out-is-grid", "col-class-clash",
-            "out-of-memory", "bounds-out-of-memory"])
+            "out-of-memory", "bounds-out-of-memory", "rand-rows-beyond-index-range",
+            "mt-rows-beyond-index-range"])
     def test_reachable(self, tmp_path, monkeypatch, capsys, code, argv, patch, err):
         files = {"bad": "CA 2 3 2 2\n0 0 0\n1 1 1\n",
                  "huge": "CA 1 2 2 2\n0 99999999999999999999\n",

@@ -1,5 +1,7 @@
 import itertools
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,11 +11,14 @@ from caforge import (
     GroupKind,
     Interaction,
     Parameters,
+    coverage,
     develop,
     uncovered_list,
     verify_covering_array,
 )
-from conftest import brute_uncovered
+from caforge.coverage import BATCH_CELLS, iter_uncovered
+from caforge.groups import orbit_table
+from conftest import brute_uncovered, scan_oracle
 
 
 def random_array(rng, n, k, v):
@@ -78,6 +83,76 @@ class TestUncoveredList:
                                 group=GroupKind.FROBENIUS)
         for item in report.uncovered:
             assert len(set(item.symbols)) > 1
+
+
+@st.composite
+def scan_cases(draw):
+    """(p, group, array): t 2-5, k t-9, v 2-5 (all prime powers, so every
+    group applies), n 0-12.  Symbols lie below a drawn bound, so that larger
+    ones stay uncovered."""
+    t = draw(st.integers(2, 5))
+    p = Parameters(t, draw(st.integers(t, 9)), draw(st.integers(2, 5)))
+    group = draw(st.sampled_from(list(GroupKind)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    high, n = draw(st.integers(1, p.v)), draw(st.integers(0, 12))
+    return p, group, rng.integers(0, high, size=(n, p.k))
+
+
+class TestBatchedKernel:
+    """The batched stream yields the per-t-set oracle's items in its order."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(scan_cases(), st.sampled_from([1, 5, 64, 333, BATCH_CELLS]))
+    def test_matches_oracle(self, case, cells):
+        p, group, array = case
+        with mock.patch.object(coverage, "BATCH_CELLS", cells):
+            assert list(iter_uncovered(array, p, group)) == list(scan_oracle(array, p, group))
+
+    @settings(max_examples=80, deadline=None)
+    @given(scan_cases(), st.integers(0, 40))
+    def test_cap_takes_the_oracle_prefix(self, case, cap):
+        p, group, array = case
+        expected = list(itertools.islice(scan_oracle(array, p, group), cap + 1))
+        report = uncovered_list(array, p, group, cap=cap)
+        assert report.uncovered == expected
+        assert report.truncated == (len(expected) > cap)
+
+    @pytest.mark.parametrize("group", list(GroupKind))
+    @pytest.mark.parametrize("n, k", [
+        (BATCH_CELLS // 5, 9),   # 5 t-sets a batch: the first ends inside prefix (0, 1)
+        (BATCH_CELLS + 1, 6),    # one t-set a batch
+    ], ids=["mid-prefix", "taller-than-a-batch"])
+    def test_tall_arrays(self, group, n, k):
+        p = Parameters(3, k, 3)
+        array = np.random.default_rng(n).integers(0, 3, size=(n, k))
+        array[:, 2] = array[:, 1]  # orbits of tuples that differ there stay uncovered
+        expected = list(scan_oracle(array, p, group))
+        assert expected
+        assert list(iter_uncovered(array, p, group)) == expected
+
+    def test_stream_reads_a_snapshot(self):
+        p = Parameters(2, 3, 2)
+        array = np.zeros((1, 3), dtype=int)
+        stream = iter_uncovered(array, p)
+        first = next(stream)
+        array[:] = 1  # seen only by a new stream
+        assert [first, *stream] == list(scan_oracle(np.zeros((1, 3), dtype=int), p))
+
+    @pytest.mark.parametrize("k", [6, 16])
+    def test_peak_memory_is_one_batch(self, k):
+        """The traced peak is the int32 column copy plus one batch of at
+        most 32 bytes a cell, whatever C(k, t) is."""
+        n, p = 100_000, Parameters(3, k, 3)
+        array = np.random.default_rng(k).integers(0, 3, size=(n, k))
+        orbit_table(p.t, p.v, GroupKind.TRIVIAL)  # built once, outside the trace
+        tracemalloc.start()
+        try:
+            report = uncovered_list(array, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.uncovered_count == 0
+        assert peak <= 4 * n * k + 32 * max(n, BATCH_CELLS)
 
 
 class TestVerify:

@@ -186,16 +186,16 @@ class TestIterationCap:
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Column t-sets passed to the per-t-set coverage kernel.  stage1 is
+    """Column t-sets passed to the batched coverage kernel.  stage1 is
     patched too, so that a private binding of the kernel there counts."""
-    calls, kernel = [], coverage._covered_mask
+    calls, kernel = [], coverage._uncovered
 
-    def counted(array, cols, table):
-        calls.append(cols)
-        return kernel(array, cols, table)
+    def counted(columns, tsets, *args):
+        calls.extend(tsets)
+        return kernel(columns, tsets, *args)
 
     for module in (coverage, stage1):
-        monkeypatch.setattr(module, "_covered_mask", counted, raising=False)
+        monkeypatch.setattr(module, "_uncovered", counted, raising=False)
     return calls
 
 
