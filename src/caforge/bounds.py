@@ -8,6 +8,7 @@ published values round correctly; integer minima use doubles.  Logs are natural.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -22,10 +23,12 @@ mp = MPContext()
 mp.dps = 40
 
 
+@functools.lru_cache
 def _orbit_log_base(p: Parameters, group: GroupKind):
     """-ln(per-row miss probability of one full orbit) under the group: a
     random row hits a full orbit in |G| of the v^t tuples.  The quotient gets
-    v^t's bits beyond the working precision, so it never rounds to 1."""
+    v^t's bits beyond the working precision, so it never rounds to 1.  Cached
+    per (p, group): a run and a bound report reuse one immutable mpf."""
     order, vt = group.shape(p.t, p.v)[0], p.v**p.t
     return mp.log(mp.fdiv(vt, vt - order, prec=mp.prec + vt.bit_length()))
 
@@ -46,7 +49,7 @@ def slj_bound(p: Parameters) -> float:
     return float(num / _orbit_log_base(p, GroupKind.TRIVIAL))
 
 
-#: Most loop steps ``discrete_slj_bound`` takes, a few seconds; past it, None.
+#: Most word-steps (300-500 ns each) ``discrete_slj_bound`` takes; past it, None.
 DSLJ_STEP_BUDGET = 10**7
 
 
@@ -56,11 +59,13 @@ def discrete_slj_bound(p: Parameters) -> int | None:
     Exact integer recurrence; u can exceed 10^10 so no floating arithmetic
     is involved.  Rows are single steps while u > (v^t)^2, about
     v^t ln(C(k,t) / v^t), then one step per run of equal decrement, at most
-    min(C(k,t), v^t).  None when that estimate exceeds ``DSLJ_STEP_BUDGET``.
+    min(C(k,t), v^t).  A step costs one unit per 64-bit word of
+    u0 = C(k,t) v^t; None when steps times words exceed ``DSLJ_STEP_BUDGET``.
     """
     vt, eta = p.v**p.t, math.comb(p.k, p.t)
-    if min(eta, vt) > DSLJ_STEP_BUDGET or \
-            vt * max(math.log(eta) - math.log(vt), 0) + min(eta, vt) > DSLJ_STEP_BUDGET:
+    words = -(-(eta * vt).bit_length() // 64)
+    if words * min(eta, vt) > DSLJ_STEP_BUDGET or words * (
+            vt * max(math.log(eta) - math.log(vt), 0) + min(eta, vt)) > DSLJ_STEP_BUDGET:
         return None
     u, n = eta * vt, 0
     while u > vt * vt:

@@ -234,7 +234,8 @@ def test_criterion_6_gamma_edge_concentration():
 
 @pytest.mark.slow
 def test_criterion_7_desk_scale_reproduction():
-    # Multi-hour randomized run; compares against the reference 48325.
+    # Desk-scale randomized run, about 13 minutes on 2 cores; compares
+    # against the reference 48325.
     spec = RunSpec(p=Parameters(5, 67, 5), stage1="rand", stage2="greedy",
                    r_multiplier=2.0, group=GroupKind.FROBENIUS, seed=0)
     _, rep = run(spec)

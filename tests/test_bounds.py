@@ -117,9 +117,13 @@ class TestAgainstOracles:
         for mode in ("optimistic", "conservative"):
             assert coloring_two_stage_estimate(p, mode) == coloring_oracle(p, mode)
 
-    def test_over_step_budget_is_none(self):
+    @pytest.mark.parametrize("t,k,v", [
+        (8, 40, 10),   # too many steps
+        (17, 27, 763),  # few enough steps, but each on 3-word integers
+    ])
+    def test_over_step_budget_is_none(self, t, k, v):
         start = time.perf_counter()
-        p = Parameters(8, 40, 10)
+        p = Parameters(t, k, v)
         assert discrete_slj_bound(p) is None
         assert bound_report(p).discrete_slj is None
         assert time.perf_counter() - start < 1

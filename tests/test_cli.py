@@ -191,8 +191,11 @@ class TestBoundsCommand:
         dslj = row["discrete_slj"]
         assert (dslj if dslj is None else len(str(dslj))) == dslj_digits
 
-    def test_over_step_budget_empty_cell(self, capsys):
-        assert main(["bounds", "--t", "8", "--k", "40", "--v", "10"]) == EXIT_OK
+    @pytest.mark.parametrize("t,k,v", [(8, 40, 10), (17, 27, 763)])
+    def test_over_step_budget_empty_cell(self, capsys, t, k, v):
+        start = time.perf_counter()
+        assert main(["bounds", "--t", str(t), "--k", str(k), "--v", str(v)]) == EXIT_OK
+        assert time.perf_counter() - start < 1
         (row,) = csv.DictReader(capsys.readouterr().out.splitlines())
         assert row["discrete_slj"] == ""
         assert float(row["slj"]) > 0

@@ -7,7 +7,7 @@ from dataclasses import fields
 
 from caforge import (GroupKind, Parameters, RunReport, RunSpec, benchmark, run,
                      two_stage_bound)
-from caforge.bounds import group_rho
+from caforge.bounds import _orbit_log_base, group_rho
 from caforge.cli import _write_csv
 from conftest import brute_uncovered
 
@@ -79,6 +79,17 @@ class TestRun:
         developed, rep = run(spec)
         assert rep.verified is True
         assert not brute_uncovered(developed, p)
+
+    @pytest.mark.parametrize("stage1,group", [
+        ("rand", GroupKind.TRIVIAL), ("rand", GroupKind.CYCLIC),
+        ("rand", GroupKind.FROBENIUS), ("mt", GroupKind.TRIVIAL),
+        ("mt", GroupKind.FROBENIUS),
+    ])
+    def test_one_log_base_evaluation(self, stage1, group):
+        # the spec check, r, the stage-1 size and the predicted bound share one L
+        _orbit_log_base.cache_clear()
+        run(RunSpec(p=Parameters(2, 5, 3), stage1=stage1, group=group, seed=3))
+        assert _orbit_log_base.cache_info().misses == 1
 
     def test_mt_group_stage2_is_noop(self):
         p = Parameters(2, 5, 3)
