@@ -41,8 +41,11 @@ def iter_uncovered(array, p: Parameters, group: GroupKind = GroupKind.TRIVIAL):
     """Yield the uncovered orbits: interactions under the trivial group,
     else each orbit's canonical representative.  The first ``next()`` checks
     and copies ``array``; Moser-Tardos starts a new stream after changing it.
-    Raises ValueError when a symbol lies outside [0, v)."""
+    Raises ValueError unless ``array`` is an integer n x k matrix with every
+    symbol in [0, v)."""
     array = np.asarray(array)
+    if array.ndim != 2 or array.shape[1] != p.k or array.dtype.kind not in "iu":
+        raise ValueError(f"need an integer n x {p.k} array, got {array.dtype} {array.shape}")
     if array.size and (array.min() < 0 or array.max() >= p.v):
         raise ValueError(f"symbol out of range for v={p.v}")
     table = orbit_table(p.t, p.v, group)
@@ -63,6 +66,7 @@ def uncovered_list(array, p: Parameters, group: GroupKind = GroupKind.TRIVIAL,
     return CoverageReport(items, truncated=cap is not None and len(items) > cap)
 
 
-def verify_covering_array(array, p: Parameters) -> bool:
-    """True iff every interaction (trivial group, no orbits) is covered."""
-    return uncovered_list(array, p, cap=0).uncovered_count == 0
+def verify_covering_array(array, p: Parameters, group=GroupKind.TRIVIAL) -> bool:
+    """True iff every full orbit under ``group`` is covered, that is, iff
+    ``develop(array, group, p.v)`` covers every interaction."""
+    return uncovered_list(array, p, group, cap=0).uncovered_count == 0

@@ -87,7 +87,7 @@ def run(spec: RunSpec):
     full = np.concatenate([partial, extra], axis=0)
     developed = develop(full, group, p.v)
 
-    if spec.verify and not verify_covering_array(developed, p):
+    if spec.verify and not verify_covering_array(full, p, group):
         raise VerificationFailed(f"developed array misses an interaction ({spec})")
 
     rep = RunReport(

@@ -234,10 +234,11 @@ def test_criterion_6_gamma_edge_concentration():
 
 @pytest.mark.slow
 def test_criterion_7_desk_scale_reproduction():
-    # Desk-scale randomized run, about 13 minutes on 2 cores; compares
-    # against the reference 48325.
+    # Desk-scale randomized run, built and orbit-verified in about 15 minutes
+    # on 2 cores; compares against the reference 48325.
     spec = RunSpec(p=Parameters(5, 67, 5), stage1="rand", stage2="greedy",
-                   r_multiplier=2.0, group=GroupKind.FROBENIUS, seed=0)
+                   r_multiplier=2.0, group=GroupKind.FROBENIUS, seed=0, verify=True)
     _, rep = run(spec)
+    assert rep.verified is True
     assert abs(rep.N_final - 48325) / 48325 <= 0.05
     print(f"criterion 7 (desk-scale reproduction, N={rep.N_final}): PASS")

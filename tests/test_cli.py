@@ -384,7 +384,7 @@ class TestExitCodes:
         (EXIT_CONSTRUCTION, ["construct", "--t", "2", "--k", "4", "--v", "2"],
          (stage1, "rand_first_stage", _raise_retries), "construction failed"),
         (EXIT_VERIFY, ["construct", "--t", "2", "--k", "4", "--v", "2", "--verify"],
-         (pipeline, "verify_covering_array", lambda array, p: False),
+         (pipeline, "verify_covering_array", lambda *args: False),
          "verification failed"),
         (EXIT_USAGE, ["verify", "--in", "{digits}"], None, "not a decimal integer"),
         (EXIT_USAGE, ["verify", "--in", "{utf16}"], None, "can't decode"),

@@ -11,8 +11,10 @@ from caforge import (
     GroupKind,
     Interaction,
     Parameters,
+    RunSpec,
     coverage,
     develop,
+    run,
     uncovered_list,
     verify_covering_array,
 )
@@ -98,6 +100,26 @@ def scan_cases(draw):
     return p, group, rng.integers(0, high, size=(n, p.k))
 
 
+@st.composite
+def damaged_covering_cases(draw):
+    """(p, group, array): the undeveloped rows of a greedy run (t 2-3, k t-7,
+    v 2-4), kept whole, with one row dropped, or with one cell changed."""
+    t = draw(st.integers(2, 3))
+    p = Parameters(t, draw(st.integers(t, 7)), draw(st.integers(2, 4)))
+    group = draw(st.sampled_from(list(GroupKind)))
+    array, rep = run(RunSpec(p=p, stage2="greedy", group=group,
+                             seed=draw(st.integers(0, 2**16))))
+    array = array[: rep.n_stage1 + rep.rows_stage2]
+    row = draw(st.integers(0, len(array) - 1))
+    damage = draw(st.sampled_from(["none", "drop", "cell"]))
+    if damage == "drop":
+        array = np.delete(array, row, axis=0)
+    elif damage == "cell":
+        col = draw(st.integers(0, p.k - 1))
+        array[row, col] = (array[row, col] + draw(st.integers(1, p.v - 1))) % p.v
+    return p, group, array
+
+
 class TestBatchedKernel:
     """The batched stream yields the per-t-set oracle's items in its order."""
 
@@ -177,6 +199,24 @@ class TestVerify:
     def test_rejects_symbol_out_of_range(self, rows):
         with pytest.raises(ValueError, match="out of range for v=2"):
             verify_covering_array(np.array(rows), Parameters(2, 2, 2))
+
+    @pytest.mark.filterwarnings("ignore:target_uncovered")  # tiny shapes need no stage 1
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(scan_cases(), damaged_covering_cases()))
+    def test_orbits_covered_iff_developed_covers(self, case):
+        # the run verifies its undeveloped rows; develop() must carry the verdict
+        p, group, array = case
+        assert verify_covering_array(array, p, group) == \
+            verify_covering_array(develop(array, group, p.v), p)
+
+    @pytest.mark.parametrize("array, k", [
+        (np.array(list(itertools.product(range(2), repeat=3))) + 0.5, 3),
+        (np.array(list(itertools.product(range(2), repeat=4))), 3),
+        (np.array([0, 1, 1]), 3),
+    ], ids=["float", "too-wide", "one-dimensional"])
+    def test_rejects_wrong_shape_or_type(self, array, k):
+        with pytest.raises(ValueError, match=f"integer n x {k} array"):
+            verify_covering_array(array, Parameters(2, k, 2))
 
     def test_agrees_with_uncovered_list(self, rng):
         for _ in range(20):

@@ -5,10 +5,10 @@ import csv
 import io
 from dataclasses import fields
 
-from caforge import (GroupKind, Parameters, RunReport, RunSpec, benchmark, run,
-                     two_stage_bound)
+from caforge import (GroupKind, Parameters, RunReport, RunSpec, VerificationFailed,
+                     benchmark, run, stage2, two_stage_bound)
 from caforge.bounds import _orbit_log_base, group_rho
-from caforge.cli import _write_csv
+from caforge.cli import EXIT_VERIFY, _write_csv, main
 from conftest import brute_uncovered
 
 
@@ -118,6 +118,20 @@ class TestRun:
         p = Parameters(2, 10, 2)
         _, rep = run(RunSpec(p=p, stage2="den", seed=0, verify=True))
         assert rep.N_final <= 2 * rep.bound_predicted
+
+    @pytest.mark.parametrize("group", list(GroupKind))
+    def test_stage2_gap_fails_verification(self, monkeypatch, capsys, group):
+        # stage 2 that adds no rows leaves stage 1's uncovered orbits open
+        monkeypatch.setattr(stage2, "naive_cover",
+                            lambda items, p, *_: np.empty((0, p.k), dtype=np.int64))
+        spec = RunSpec(p=Parameters(3, 6, 3), group=group)
+        assert run(spec)[1].uncovered_after_stage1 > 0
+        with pytest.raises(VerificationFailed):
+            run(RunSpec(p=spec.p, group=group, verify=True))
+        argv = ["construct", "--t", "3", "--k", "6", "--v", "3", "--group", group.value,
+                "--verify"]
+        assert main(argv) == EXIT_VERIFY
+        assert "verification failed" in capsys.readouterr().err
 
     def test_verify_skipped_by_default(self):
         _, rep = run(RunSpec(p=Parameters(2, 5, 2), seed=0))
